@@ -1,5 +1,5 @@
-"""The dendritic-cell population: signal transform, cell lifecycle, tissue
-stepping and MCAV scoring.
+"""The dendritic-cell population: signal transform, population run and MCAV
+scoring.
 
 A run streams (antigen, signal-triple) pairs through a fixed-size cell
 population. Each step a random subset of cells samples the current signal and
@@ -8,6 +8,13 @@ crosses their migration threshold present their stored antigens with a
 mature/semi-mature context and are replaced by naive cells. After the stream,
 surviving cells are flushed so no sampled antigen is lost. The per-type
 fraction of mature presentations is the MCAV score.
+
+A cell's state is only its three cumulative signal sums and its threshold, so
+the population is held as flat lists indexed by cell slot. Each sampling life
+of a slot gets a lifetime id; a step records which lifetimes received its
+antigen copies, and a lifetime's context is fixed when it migrates or is
+flushed. Antigens are never copied: the per-type tallies come from one
+weighted count at the end of the run.
 """
 from __future__ import annotations
 
@@ -40,66 +47,25 @@ def transform_signals(
     return float(out[0]), float(out[1]), float(out[2])
 
 
-@dataclass
-class DendriticCell:
-    """One cell: cumulative output accumulators, sampled antigens and the
-    migration threshold ending its sampling life."""
-
-    migration_threshold: float
-    csm: float = 0.0
-    semi: float = 0.0
-    mat: float = 0.0
-    antigens: list[str] = field(default_factory=list)
-
-    def sample(
-        self,
-        antigens: Sequence[str],
-        triple: Sequence[float],
-        weights: np.ndarray = DEFAULT_WEIGHTS,
-    ) -> None:
-        """Store antigen copies and accumulate one transformed signal step."""
-        self.antigens.extend(antigens)
-        csm, semi, mat = transform_signals(triple, weights)
-        self.accumulate(csm, semi, mat)
-
-    def accumulate(self, csm: float, semi: float, mat: float) -> None:
-        self.csm += csm
-        self.semi += semi
-        self.mat += mat
-
-    def should_migrate(self) -> bool:
-        """True once cumulative csm strictly exceeds the threshold."""
-        return self.csm > self.migration_threshold
-
-    def context(self) -> int:
-        """1 (mature) when semi <= mat, else 0 (semi-mature)."""
-        return 1 if self.semi <= self.mat else 0
-
-
+@dataclass(frozen=True)
 class PresentationLog:
-    """Per-antigen-type tallies of presentations and mature presentations."""
+    """Per-antigen-type tallies of one run: type -> (total presentations,
+    mature presentations)."""
 
-    def __init__(self):
-        self._counts: dict[str, list[int]] = {}
-
-    def log(self, antigens: Sequence[str], context: int) -> None:
-        for antigen in antigens:
-            entry = self._counts.setdefault(antigen, [0, 0])
-            entry[0] += context
-            entry[1] += 1
+    counts: dict[str, tuple[int, int]]
 
     def mature_count(self, antigen: str) -> int:
-        return self._counts.get(antigen, [0, 0])[0]
+        return self.counts.get(antigen, (0, 0))[1]
 
     def total_count(self, antigen: str) -> int:
-        return self._counts.get(antigen, [0, 0])[1]
+        return self.counts.get(antigen, (0, 0))[0]
 
     @property
     def total_presentations(self) -> int:
-        return sum(entry[1] for entry in self._counts.values())
+        return sum(total for total, _ in self.counts.values())
 
     def types(self) -> list[str]:
-        return list(self._counts)
+        return list(self.counts)
 
 
 def compute_mcav(log: PresentationLog) -> dict[str, float]:
@@ -122,15 +88,6 @@ def classify_types(
         antigen: (ANOMALOUS if value > threshold else NORMAL)
         for antigen, value in mcav.items()
     }
-
-
-@dataclass
-class TissueState:
-    """Per-step staging area: antigen copies awaiting sampling plus the
-    current signal triple. The store is drained every step."""
-
-    antigen_store: list[str] = field(default_factory=list)
-    current_signal: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -163,82 +120,14 @@ class DcaConfig:
             raise ConfigurationError("mcav_threshold must lie in [0,1]")
 
 
-def _new_threshold(rng: np.random.Generator, config: DcaConfig) -> float:
-    return float(rng.uniform(config.threshold_low, config.threshold_high))
-
-
-def init_population(rng: np.random.Generator, config: DcaConfig) -> list[DendriticCell]:
-    return [
-        DendriticCell(_new_threshold(rng, config))
-        for _ in range(config.population_size)
-    ]
-
-
-def tissue_step(
-    state: TissueState,
-    population: list[DendriticCell],
-    antigen_copies: Sequence[str],
-    triple: Sequence[float],
-    rng: np.random.Generator,
-    log: PresentationLog,
-    config: DcaConfig,
-) -> None:
-    """Process one stream position.
-
-    Random draw order is fixed: antigen placement permutation, cell
-    selection, then replacement thresholds for migrated cells in selection
-    order.
-    """
-    state.current_signal = tuple(float(v) for v in triple)
-    placement = rng.permutation(len(antigen_copies))
-    state.antigen_store = [antigen_copies[i] for i in placement]
-
-    selected = rng.choice(
-        config.population_size, size=config.cells_per_step, replace=False
-    )
-    csm, semi, mat = transform_signals(triple, config.weights)
-
-    # Deal the stored copies round-robin across the selected cells, then let
-    # every selected cell sample the current signal.
-    for position, antigen in enumerate(state.antigen_store):
-        cell = population[selected[position % len(selected)]]
-        cell.antigens.append(antigen)
-    state.antigen_store = []
-
-    for index in selected:
-        population[index].accumulate(csm, semi, mat)
-
-    for index in selected:
-        cell = population[index]
-        if cell.should_migrate():
-            log.log(cell.antigens, cell.context())
-            population[index] = DendriticCell(_new_threshold(rng, config))
-
-
-def flush_population(
-    population: list[DendriticCell], log: PresentationLog
-) -> None:
-    """Present every surviving cell's stored antigens at end of stream."""
-    for cell in population:
-        if cell.antigens:
-            log.log(cell.antigens, cell.context())
-            cell.antigens = []
-
-
 def run_dca(
     antigens: Sequence[str],
     signals: np.ndarray,
     config: DcaConfig,
     seed: int,
 ) -> dict[str, float]:
-    """Full pass over an antigen stream and its raw signal stream.
-
-    Applies the moving time window, then feeds each record's multiplied
-    antigen copies and windowed signal through one tissue step. Returns the
-    per-type MCAV table. Deterministic per seed.
-    """
-    mcav, _ = run_dca_with_log(antigens, signals, config, seed)
-    return mcav
+    """Per-type MCAV table of one run; see ``run_dca_with_log``."""
+    return run_dca_with_log(antigens, signals, config, seed)[0]
 
 
 def run_dca_with_log(
@@ -247,20 +136,81 @@ def run_dca_with_log(
     config: DcaConfig,
     seed: int,
 ) -> tuple[dict[str, float], PresentationLog]:
-    """Like run_dca but also returns the presentation log (for audits)."""
+    """Full pass over an antigen stream and its raw signal stream.
+
+    Applies the moving time window, then per record deals ``multiplier``
+    copies of its antigen round-robin over ``cells_per_step`` randomly
+    selected cells and adds the record's transformed signal to each of them.
+    A selected cell whose cumulative csm strictly exceeds its threshold
+    presents every copy it holds, mature iff semi <= mat, and is replaced by
+    a naive cell. Returns the MCAV table and the presentation log.
+
+    Random draw order, the contract that makes a run deterministic per seed:
+    ``population_size`` initial thresholds, then per step
+    ``rng.permutation(multiplier)`` (the copies' placement, which draws
+    nothing at multiplier 1), ``rng.choice(population_size, cells_per_step,
+    replace=False)``, and one ``uniform(threshold_low, threshold_high)`` per
+    migrated cell in selection order.
+    """
     if len(antigens) != len(signals):
         raise ConfigurationError(
             "antigen stream and signal stream must be index-aligned"
         )
     windowed = apply_time_window(np.asarray(signals, dtype=float), config.window)
+    steps = (windowed @ np.asarray(config.weights, dtype=float)).tolist()
+    size = config.population_size
+    per_step = config.cells_per_step
+    k = config.multiplier
+    low, high = config.threshold_low, config.threshold_high
+    # Round-robin dealing gives selected[j] ceil((k - j) / per_step) copies,
+    # so only the first min(k, per_step) selected cells ever hold any.
+    holders = min(k, per_step)
+
     rng = np.random.default_rng(seed)
-    population = init_population(rng, config)
-    state = TissueState()
-    log = PresentationLog()
-    for antigen, triple in zip(antigens, windowed):
-        copies = [antigen] * config.multiplier
-        tissue_step(state, population, copies, triple, rng, log, config)
-    flush_population(population, log)
+    threshold = rng.uniform(low, high, size).tolist()
+    csm = [0.0] * size
+    semi = [0.0] * size
+    mat = [0.0] * size
+    lifetime = list(range(size))
+    mature = [False] * size  # context of each lifetime, by lifetime id
+    holder_lifetimes = np.empty((len(steps), holders), dtype=np.int64)
+
+    for t, (d_csm, d_semi, d_mat) in enumerate(steps):
+        if k > 1:
+            rng.permutation(k)  # copies are identical; drawn for the stream
+        selected = rng.choice(size, per_step, replace=False).tolist()
+        holder_lifetimes[t] = [lifetime[i] for i in selected[:holders]]
+        migrants = []
+        for i in selected:
+            total = csm[i] + d_csm
+            csm[i] = total
+            semi[i] += d_semi
+            mat[i] += d_mat
+            if total > threshold[i]:
+                mature[lifetime[i]] = semi[i] <= mat[i]
+                lifetime[i] = len(mature)
+                mature.append(False)
+                csm[i] = semi[i] = mat[i] = 0.0
+                migrants.append(i)
+        if migrants:
+            fresh = rng.uniform(low, high, len(migrants)).tolist()
+            for i, value in zip(migrants, fresh):
+                threshold[i] = value
+
+    # End-of-stream flush: surviving cells present what they hold.
+    for i in range(size):
+        mature[lifetime[i]] = semi[i] <= mat[i]
+
+    types, codes = np.unique(np.asarray(antigens, dtype=str),
+                             return_inverse=True)
+    copies = (k - np.arange(holders) + per_step - 1) // per_step
+    mature_copies = np.asarray(mature)[holder_lifetimes] @ copies
+    totals = k * np.bincount(codes, minlength=len(types))
+    matures = np.bincount(codes, weights=mature_copies, minlength=len(types))
+    log = PresentationLog({
+        antigen: (int(total), int(count))
+        for antigen, total, count in zip(types.tolist(), totals, matures)
+    })
     return compute_mcav(log), log
 
 

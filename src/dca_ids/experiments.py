@@ -94,6 +94,10 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("seed list must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(
+                f"seed list repeats a seed: {list(self.seeds)}"
+            )
         if any(k < 1 for k in self.multipliers):
             raise ConfigurationError("multipliers must be >= 1")
         if any(w < 1 for w in self.windows):

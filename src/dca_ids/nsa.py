@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dataset import (
     ANOMALOUS,
@@ -71,35 +70,35 @@ def generate_detectors(
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
     if max_attempts is None:
         max_attempts = 100 * count
+    from scipy.spatial import cKDTree
+
     rng = np.random.default_rng(seed)
     self_points = np.asarray(self_points, dtype=float).reshape(-1, dimension)
     tree = cKDTree(self_points) if len(self_points) else None
     censor_radius = self_radius + detector_radius
 
-    accepted: list[np.ndarray] = []
+    accepted = [np.empty((0, dimension))]
+    found = 0
     attempts = 0
     batch = 1024
-    while len(accepted) < count and attempts < max_attempts:
+    while found < count and attempts < max_attempts:
         size = min(batch, max_attempts - attempts)
         candidates = rng.random((size, dimension))
         attempts += size
-        if tree is None:
-            keep = np.ones(size, dtype=bool)
-        else:
-            distances, _ = tree.query(candidates, k=1)
-            keep = distances >= censor_radius
-        for candidate in candidates[keep]:
-            accepted.append(candidate)
-            if len(accepted) == count:
-                break
-    if len(accepted) < count:
+        if tree is not None:
+            # Self points beyond the censor radius come back as inf, which
+            # passes the test below exactly as their true distance would.
+            distances, _ = tree.query(candidates, k=1,
+                                      distance_upper_bound=censor_radius)
+            candidates = candidates[distances >= censor_radius]
+        accepted.append(candidates[:count - found])
+        found += len(accepted[-1])
+    if found < count:
         logger.warning(
             "detector generation exhausted %d attempts with %d/%d detectors "
-            "(dimension %d)", max_attempts, len(accepted), count, dimension,
+            "(dimension %d)", max_attempts, found, count, dimension,
         )
-    if not accepted:
-        return np.empty((0, dimension))
-    return np.array(accepted)
+    return np.concatenate(accepted)
 
 
 def classify_points(
@@ -116,8 +115,12 @@ def classify_points(
             f"dimension mismatch: points {points.shape[1]}d, "
             f"detectors {detectors.shape[1]}d"
         )
-    tree = cKDTree(detectors)
-    distances, _ = tree.query(points, k=1)
+    from scipy.spatial import cKDTree
+
+    # Unmatched points come back as inf, which fails the strict test below.
+    distances, _ = cKDTree(detectors).query(
+        points, k=1, distance_upper_bound=detector_radius
+    )
     return [ANOMALOUS if d < detector_radius else NORMAL for d in distances]
 
 

@@ -15,10 +15,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import ConnectionRecord, NORMAL, binarize_label
+from .dataset import (
+    ATTRIBUTE_NAMES,
+    CONTINUOUS_ATTRIBUTES,
+    NORMAL,
+    ConnectionRecord,
+    binarize_label,
+)
 from .errors import ConfigurationError
 
 CATEGORIES = ("PAMP", "DS", "SS")
+
+# Attributes a signal can score: every continuous one plus the nominals whose
+# values are '0'/'1'.
+SCORABLE_ATTRIBUTES = frozenset(CONTINUOUS_ATTRIBUTES) | {
+    "land", "logged_in", "is_host_login", "is_guest_login",
+}
 
 # Default attribute grouping, pinned to KDD-99 schema names. Overridable via
 # a range-configuration file.
@@ -147,6 +159,15 @@ def load_signal_config(path: str | Path) -> SignalConfig:
                     f"(name category lower upper direction), got {len(parts)}"
                 )
             name, category, lower, upper, direction = parts
+            if name not in ATTRIBUTE_NAMES:
+                raise ConfigurationError(
+                    f"{path}:{line_number}: unknown attribute {name!r}"
+                )
+            if name not in SCORABLE_ATTRIBUTES:
+                raise ConfigurationError(
+                    f"{path}:{line_number}: {name} is a non-binary nominal "
+                    "attribute and cannot be scored"
+                )
             try:
                 ranges.append(
                     AttributeRange(name, category, float(lower), float(upper),
@@ -229,8 +250,6 @@ def attribute_gains(
     records: Sequence[ConnectionRecord], bins: int = 10
 ) -> list[tuple[str, float]]:
     """Information gain of every attribute, sorted descending by gain."""
-    from .dataset import ATTRIBUTE_NAMES
-
     labels = [binarize_label(r.label) for r in records]
     gains = []
     for name in ATTRIBUTE_NAMES:

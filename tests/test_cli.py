@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import dca_ids
 from dca_ids.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 from conftest import make_line
@@ -140,3 +144,55 @@ class TestErrorPaths:
         code = main(["e1.1", str(synthetic_dataset),
                      "--out", str(tmp_path / "out"), "--ranges", str(ranges)])
         assert code == EXIT_CONFIG
+
+    def test_duplicate_seeds_rejected(self, synthetic_dataset, tmp_path,
+                                      capsys):
+        code = main(["e1.2", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1,1",
+                     "--multipliers", "5"])
+        assert code == EXIT_CONFIG
+        assert "repeats a seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_range_file_unknown_attribute(self, synthetic_dataset, tmp_path,
+                                          capsys):
+        ranges = tmp_path / "ranges.conf"
+        ranges.write_text("count DS 0 100 +\nbogus SS 0 1 +\n")
+        code = main(["e1.1", str(synthetic_dataset),
+                     "--out", str(tmp_path / "out"), "--ranges", str(ranges)])
+        assert code == EXIT_CONFIG
+        assert f"{ranges}:2: unknown attribute 'bogus'" in (
+            capsys.readouterr().err
+        )
+
+    def test_range_file_non_binary_nominal(self, synthetic_dataset, tmp_path,
+                                           capsys):
+        ranges = tmp_path / "ranges.conf"
+        ranges.write_text("service DS 0 1 +\n")
+        code = main(["e1.1", str(synthetic_dataset),
+                     "--out", str(tmp_path / "out"), "--ranges", str(ranges)])
+        assert code == EXIT_CONFIG
+        assert "service is a non-binary nominal" in capsys.readouterr().err
+
+    def test_range_file_binary_nominal_accepted(self, synthetic_dataset,
+                                                tmp_path):
+        ranges = tmp_path / "ranges.conf"
+        ranges.write_text("serror_rate PAMP 0 1 +\ncount DS 0 100 +\n"
+                          "logged_in SS 0 1 +\n")
+        code = main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(tmp_path / "out"), "--ranges", str(ranges)])
+        assert code == EXIT_OK
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is only needed by the negative-selection baseline (E2); the
+        # DCA experiments and the CLI's start-up must not pay for it.
+        src = Path(dca_ids.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = ("import sys, dca_ids.cli; dca_ids.cli.build_parser(); "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

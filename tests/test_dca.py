@@ -4,16 +4,11 @@ import pytest
 from dca_ids.dataset import ANOMALOUS, NORMAL
 from dca_ids.dca import (
     DcaConfig,
-    DendriticCell,
     PresentationLog,
-    TissueState,
     classify_types,
     compute_mcav,
-    flush_population,
-    init_population,
     run_dca,
     run_dca_with_log,
-    tissue_step,
     transform_signals,
     write_mcav_table,
 )
@@ -21,6 +16,8 @@ from dca_ids.errors import ConfigurationError
 
 ALL_PAMP = (100.0, 0.0, 0.0)
 ALL_SAFE = (0.0, 0.0, 100.0)
+ZERO = (0.0, 0.0, 0.0)
+TIE = (0.0, 60.0, 10.0)  # semi == mat
 
 
 def small_config(**overrides):
@@ -43,60 +40,75 @@ class TestTransform:
         assert transform_signals((0, 100, 0)) == (100.0, 0.0, 100.0)
 
 
+def one_cell(threshold, **overrides):
+    """A one-cell population whose every migration threshold is fixed."""
+    return small_config(population_size=1, cells_per_step=1,
+                        threshold_low=threshold, threshold_high=threshold,
+                        **overrides)
+
+
+def run_steps(steps, config, seed=0):
+    """Run a stream given as (antigen, signal triple) pairs."""
+    antigens = [antigen for antigen, _ in steps]
+    signals = np.array([triple for _, triple in steps], dtype=float)
+    return run_dca_with_log(antigens, signals.reshape(-1, 3), config, seed)
+
+
 class TestCell:
+    """Rules of one cell's life, seen through whole runs: a presentation's
+    context shows which steps the presenting cell had summed."""
+
     def test_sample_accumulates(self):
-        cell = DendriticCell(migration_threshold=200)
-        cell.sample(["a"], ALL_PAMP)
-        assert (cell.csm, cell.semi, cell.mat) == (200.0, 0.0, 200.0)
+        # semi 30 + 0 > mat -30 + 40: semi-mature on the sums, though the
+        # last step alone would be mature
+        mcav, _ = run_steps([("a", (0, 0, 10)), ("b", (20, 0, 0))],
+                            one_cell(1000))
+        assert mcav == {"a": 0.0, "b": 0.0}
 
     def test_zero_signal_leaves_accumulators(self):
-        cell = DendriticCell(migration_threshold=200)
-        cell.sample(["a"], ALL_PAMP)
-        cell.sample(["b"], (0, 0, 0))
-        assert (cell.csm, cell.semi, cell.mat) == (200.0, 0.0, 200.0)
+        base = [("a", ALL_PAMP), ("b", ALL_SAFE)]
+        padded = base[:1] + [("z", ZERO)] * 5 + base[1:]
+        mcav, _ = run_steps(base, one_cell(350))
+        padded_mcav, _ = run_steps(padded, one_cell(350))
+        assert mcav == {"a": 0.0, "b": 0.0}
+        assert padded_mcav == {**mcav, "z": 0.0}
 
     def test_antigen_store_grows(self):
-        cell = DendriticCell(migration_threshold=200)
-        cell.sample(["a"] * 3, (0, 0, 0))
-        assert len(cell.antigens) == 3
+        _, log = run_steps([("a", ZERO), ("b", ZERO)],
+                           one_cell(1000, multiplier=3))
+        assert (log.total_count("a"), log.total_count("b")) == (3, 3)
 
     def test_migration_strict(self):
-        cell = DendriticCell(migration_threshold=200)
-        cell.csm = 200
-        assert not cell.should_migrate()
-        cell.csm = 250
-        assert cell.should_migrate()
+        # csm 200 after the first step: a threshold of exactly 200 keeps the
+        # cell sampling into the safe step; one just below migrates it
+        steps = [("a", ALL_PAMP), ("b", ALL_SAFE)]
+        assert run_steps(steps, one_cell(200))[0] == {"a": 0.0, "b": 0.0}
+        assert run_steps(steps, one_cell(199.5))[0] == {"a": 1.0, "b": 0.0}
 
     def test_context_safe_dominates(self):
-        cell = DendriticCell(migration_threshold=100, semi=300, mat=-300)
-        assert cell.context() == 0
+        assert run_steps([("a", ALL_SAFE)], one_cell(100))[0] == {"a": 0.0}
 
     def test_context_pamp_dominates(self):
-        cell = DendriticCell(migration_threshold=100, semi=0, mat=200)
-        assert cell.context() == 1
+        assert run_steps([("a", ALL_PAMP)], one_cell(100))[0] == {"a": 1.0}
 
     def test_context_tie_is_mature(self):
-        cell = DendriticCell(migration_threshold=100, semi=50, mat=50)
-        assert cell.context() == 1
+        assert transform_signals(TIE) == (90.0, 30.0, 30.0)
+        # at migration and at the end-of-stream flush
+        assert run_steps([("a", TIE)], one_cell(50))[0] == {"a": 1.0}
+        assert run_steps([("a", TIE)], one_cell(1000))[0] == {"a": 1.0}
 
 
 class TestMcav:
     def test_ratio(self):
-        log = PresentationLog()
-        log.log(["a"], 1)
-        log.log(["a"], 1)
-        log.log(["a"], 1)
-        log.log(["a"], 0)
+        log = PresentationLog({"a": (4, 3)})
         assert compute_mcav(log) == {"a": 0.75}
 
     def test_extremes(self):
-        log = PresentationLog()
-        log.log(["zero"] * 4, 0)
-        log.log(["one"] * 4, 1)
+        log = PresentationLog({"zero": (4, 0), "one": (4, 4)})
         assert compute_mcav(log) == {"zero": 0.0, "one": 1.0}
 
     def test_unpresented_type_absent(self):
-        assert compute_mcav(PresentationLog()) == {}
+        assert compute_mcav(PresentationLog({})) == {}
 
     def test_classification_strict(self):
         labels = classify_types({"a": 0.85, "b": 0.8, "c": 0.0}, 0.8)
@@ -108,57 +120,38 @@ class TestMcav:
 
 
 class TestTissueStep:
+    """Rules of one stream step, seen through whole runs."""
+
     def test_no_migration_on_zero_signal(self):
-        config = small_config()
-        rng = np.random.default_rng(0)
-        population = init_population(rng, config)
-        log = PresentationLog()
-        state = TissueState()
-        for _ in range(50):
-            tissue_step(state, population, ["a"], (0, 0, 0), rng, log, config)
-        assert log.total_presentations == 0
+        # every cell samples every step; the final safe step migrates them
+        # all semi-mature, so any copy presented mature would show in "a"
+        config = small_config(population_size=5, cells_per_step=5)
+        mcav, log = run_steps([("a", ZERO)] * 50 + [("b", ALL_SAFE)], config)
+        assert mcav == {"a": 0.0, "b": 0.0}
+        assert log.total_count("a") == 50
 
     def test_migrating_cell_logs_all_its_antigens(self):
-        config = small_config(population_size=1, cells_per_step=1,
-                              threshold_low=250, threshold_high=250)
-        rng = np.random.default_rng(0)
-        population = init_population(rng, config)
-        log = PresentationLog()
-        state = TissueState()
-        # two steps at csm 200 each: migrates on the second, carrying both
-        tissue_step(state, population, ["a"], ALL_PAMP, rng, log, config)
-        assert log.total_presentations == 0
-        tissue_step(state, population, ["b"], ALL_PAMP, rng, log, config)
-        assert log.total_count("a") == 1
-        assert log.total_count("b") == 1
-        assert population[0].antigens == []
+        # csm 200 then 400 > 250: migrates mature on the second step, carrying
+        # both copies; its naive replacement holds only "c"
+        mcav, log = run_steps(
+            [("a", ALL_PAMP), ("b", ALL_PAMP), ("c", ALL_SAFE)], one_cell(250)
+        )
+        assert mcav == {"a": 1.0, "b": 1.0, "c": 0.0}
+        assert log.counts == {"a": (1, 1), "b": (1, 1), "c": (1, 0)}
 
     def test_deterministic(self):
-        def run(seed):
-            config = small_config()
-            rng = np.random.default_rng(seed)
-            population = init_population(rng, config)
-            log = PresentationLog()
-            state = TissueState()
-            signal_rng = np.random.default_rng(99)
-            for i in range(30):
-                triple = signal_rng.random(3) * 100
-                tissue_step(state, population, [f"t{i % 3}"] * 2, triple,
-                            rng, log, config)
-            flush_population(population, log)
-            return {t: (log.mature_count(t), log.total_count(t))
-                    for t in log.types()}
-
-        assert run(5) == run(5)
+        signal_rng = np.random.default_rng(99)
+        steps = [(f"t{i % 3}", signal_rng.random(3) * 100) for i in range(30)]
+        config = small_config(multiplier=2)
+        assert run_steps(steps, config, seed=5) == run_steps(steps, config,
+                                                             seed=5)
 
     def test_store_drained_every_step(self):
-        config = small_config()
-        rng = np.random.default_rng(0)
-        population = init_population(rng, config)
-        state = TissueState()
-        tissue_step(state, population, ["a"] * 7, ALL_PAMP, rng,
-                    PresentationLog(), config)
-        assert state.antigen_store == []
+        # no cell ever migrates: the flush still presents every copy once
+        config = small_config(threshold_low=1e9, threshold_high=1e9,
+                              multiplier=7)
+        _, log = run_steps([("a", ALL_PAMP)] * 20, config)
+        assert log.total_presentations == 7 * 20
 
 
 class TestRunDca:
