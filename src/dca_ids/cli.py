@@ -43,7 +43,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("data", type=Path, help="KDD-format data file "
-                        "(plain or .gz)")
+                        "(plain or gzip)")
     parser.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory (default: results/)")
     parser.add_argument("--seeds", type=_int_list, default=DEFAULT_SEEDS,
@@ -171,8 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "infogain":
-            records = read_kdd_file(args.data)
-            emit_infogain(records, args.out)
+            emit_infogain(read_kdd_file(args.data), args.out)
         else:
             run_experiment(_experiment_config(args))
     except ConfigurationError as exc:

@@ -1,4 +1,5 @@
-"""KDD-99 connection record ingestion, label binarization, folds and normalization.
+"""KDD-99 connection data as one columnar table, label binarization, folds
+and normalization.
 
 The file format is one connection per line: 42 comma-separated fields, the
 last field being the raw label (optionally terminated by a period, as in the
@@ -7,6 +8,9 @@ distributed archive). Plain text and gzip files are both accepted.
 from __future__ import annotations
 
 import gzip
+import itertools
+import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
@@ -76,45 +80,41 @@ NORMAL = "normal"
 ANOMALOUS = "anomalous"
 BinaryLabel = Literal["normal", "anomalous"]
 
+# Nominals stored as integer codes into a per-column vocabulary.
+CODED_ATTRIBUTES: tuple[str, ...] = ("protocol_type", "service", "flag")
+# Nominals whose only values are '0' and '1', stored as 0.0 / 1.0.
+BINARY_ATTRIBUTES: tuple[str, ...] = (
+    "land", "logged_in", "is_host_login", "is_guest_login",
+)
 
-@dataclass(frozen=True)
-class ConnectionRecord:
-    """One parsed connection: 41 attributes (str for nominal, float for
-    continuous) in schema order, plus the raw label with any trailing period
-    stripped."""
+_FIELDS = len(ATTRIBUTE_NAMES) + 1
+_CONTINUOUS_INDEX = [_INDEX[name] for name in CONTINUOUS_ATTRIBUTES]
+_BINARY_INDEX = [_INDEX[name] for name in BINARY_ATTRIBUTES]
+# Lines converted per chunk: large enough to amortise the array calls, small
+# enough that a chunk's field strings stay a few MB.
+_CHUNK_LINES = 2048
+_GZIP_MAGIC = b"\x1f\x8b"
 
-    values: tuple
-    label: str
 
-    def attribute(self, name: str):
-        return self.values[_INDEX[name]]
+@dataclass(frozen=True, eq=False)
+class KddTable:
+    """Parsed connections, one row per record in file order.
 
-    def numeric(self, name: str) -> float:
-        """Attribute value as a number; binary nominals ('0'/'1') convert too."""
-        value = self.values[_INDEX[name]]
-        return float(value)
+    ``values`` is an (n, 41) float64 matrix in schema order: continuous
+    attributes as read, the binary nominals as 0/1, and protocol_type,
+    service and flag as codes into ``vocabularies[name]``. ``anomalous`` is
+    True for every record whose label is not 'normal'.
+    """
 
-    @property
-    def protocol(self) -> str:
-        return self.values[_INDEX["protocol_type"]]
+    values: np.ndarray
+    anomalous: np.ndarray
+    vocabularies: dict[str, tuple[str, ...]]
 
-    @property
-    def service(self) -> str:
-        return self.values[_INDEX["service"]]
+    def __len__(self) -> int:
+        return len(self.anomalous)
 
-    @property
-    def flag(self) -> str:
-        return self.values[_INDEX["flag"]]
-
-    def serialize(self) -> str:
-        fields = []
-        for name, value in zip(ATTRIBUTE_NAMES, self.values):
-            if name in NOMINAL_ATTRIBUTES:
-                fields.append(value)
-            else:
-                fields.append(f"{value:.10g}")
-        fields.append(self.label)
-        return ",".join(fields)
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, _INDEX[name]]
 
 
 def binarize_label(label: str) -> BinaryLabel:
@@ -122,49 +122,135 @@ def binarize_label(label: str) -> BinaryLabel:
     return NORMAL if label == NORMAL else ANOMALOUS
 
 
-def parse_kdd_record(line: str, line_number: int = 0) -> ConnectionRecord:
-    """Parse one comma-separated connection line into a typed record."""
-    fields = line.strip().split(",")
-    if len(fields) != len(ATTRIBUTE_NAMES) + 1:
-        raise ParseError(
-            f"line {line_number}: expected 42 fields, got {len(fields)}"
-        )
-    values = []
-    for i, name in enumerate(ATTRIBUTE_NAMES):
-        raw = fields[i]
-        if name in NOMINAL_ATTRIBUTES:
-            values.append(raw)
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(
-                f"line {line_number}: non-numeric value {raw!r} "
-                f"in continuous column {i + 1} ({name})"
-            ) from None
-        if not np.isfinite(value) or value < 0:
-            raise ParseError(
-                f"line {line_number}: continuous column {i + 1} ({name}) "
-                f"must be finite and non-negative, got {raw!r}"
+def _first_error(lines: Sequence[str], numbers: Sequence[int]) -> ParseError:
+    """The error of the first malformed field, checking line by line and
+    field by field in file order."""
+    for line, number in zip(lines, numbers):
+        fields = line.split(",")
+        if len(fields) != _FIELDS:
+            return ParseError(
+                f"line {number}: expected 42 fields, got {len(fields)}"
             )
-        values.append(value)
-    label = fields[-1].rstrip(".")
-    return ConnectionRecord(values=tuple(values), label=label)
-
-
-def iter_kdd_file(path: str | Path) -> Iterator[ConnectionRecord]:
-    """Stream records from a plain or gzip-compressed KDD file."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
+        for i, name in enumerate(ATTRIBUTE_NAMES):
+            raw = fields[i]
+            if name in BINARY_ATTRIBUTES:
+                if raw not in ("0", "1"):
+                    return ParseError(
+                        f"line {number}: binary column {i + 1} ({name}) "
+                        f"must be 0 or 1, got {raw!r}"
+                    )
                 continue
-            yield parse_kdd_record(line, line_number)
+            if name in NOMINAL_ATTRIBUTES:
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                return ParseError(
+                    f"line {number}: non-numeric value {raw!r} "
+                    f"in continuous column {i + 1} ({name})"
+                )
+            if not math.isfinite(value) or value < 0:
+                return ParseError(
+                    f"line {number}: continuous column {i + 1} ({name}) "
+                    f"must be finite and non-negative, got {raw!r}"
+                )
+    raise AssertionError("chunk rejected but every line is well formed")
 
 
-def read_kdd_file(path: str | Path) -> list[ConnectionRecord]:
-    return list(iter_kdd_file(path))
+def _codes(column: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
+    """Codes of a string column, extending the vocabulary with new values."""
+    distinct, inverse = np.unique(column.astype(str), return_inverse=True)
+    lookup = [vocabulary.setdefault(value, len(vocabulary))
+              for value in distinct.tolist()]
+    return np.asarray(lookup, dtype=float)[inverse]
+
+
+def _convert(lines: Sequence[str], numbers: Sequence[int],
+             vocabularies: dict[str, dict[str, int]]):
+    """One chunk of stripped, non-blank lines as (values, anomalous)."""
+    if any(line.count(",") != _FIELDS - 1 for line in lines):
+        raise _first_error(lines, numbers)
+    fields = np.array(",".join(lines).split(","), dtype=object)
+    fields = fields.reshape(len(lines), _FIELDS)
+    try:
+        continuous = fields[:, _CONTINUOUS_INDEX].astype(float)
+    except ValueError:
+        raise _first_error(lines, numbers) from None
+    binary = fields[:, _BINARY_INDEX].astype(str)
+    ones = binary == "1"
+    if (not np.isfinite(continuous).all() or (continuous < 0).any()
+            or not (ones | (binary == "0")).all()):
+        raise _first_error(lines, numbers)
+
+    values = np.empty((len(lines), len(ATTRIBUTE_NAMES)))
+    values[:, _CONTINUOUS_INDEX] = continuous
+    values[:, _BINARY_INDEX] = ones
+    for name in CODED_ATTRIBUTES:
+        values[:, _INDEX[name]] = _codes(fields[:, _INDEX[name]],
+                                         vocabularies[name])
+    labels, inverse = np.unique(fields[:, -1].astype(str), return_inverse=True)
+    anomalous = np.array([binarize_label(label.rstrip(".")) == ANOMALOUS
+                          for label in labels.tolist()], dtype=bool)
+    return values, anomalous[inverse]
+
+
+def parse_kdd_lines(lines: Iterable[str]) -> KddTable:
+    """Parse KDD-format lines into a table.
+
+    Lines are numbered from 1 and blank ones are skipped. Every line needs 42
+    fields; continuous fields must be finite, non-negative numbers and the
+    binary nominals 0 or 1. The first malformed field raises a ParseError
+    naming its line. Lines are converted in fixed-size chunks, so a file is
+    never held as text in full.
+    """
+    vocabularies: dict[str, dict[str, int]] = {
+        name: {} for name in CODED_ATTRIBUTES
+    }
+    numbered = ((number, line.strip())
+                for number, line in enumerate(lines, start=1))
+    nonblank = ((number, line) for number, line in numbered if line)
+    values = [np.empty((0, len(ATTRIBUTE_NAMES)))]
+    anomalous = [np.empty(0, dtype=bool)]
+    while chunk := list(itertools.islice(nonblank, _CHUNK_LINES)):
+        numbers, stripped = zip(*chunk)
+        rows, flags = _convert(stripped, numbers, vocabularies)
+        values.append(rows)
+        anomalous.append(flags)
+    return KddTable(
+        values=np.concatenate(values),
+        anomalous=np.concatenate(anomalous),
+        vocabularies={name: tuple(vocabulary)
+                      for name, vocabulary in vocabularies.items()},
+    )
+
+
+def _decoded(handle: Iterable[bytes]) -> Iterator[str]:
+    number = 0
+    try:
+        for number, line in enumerate(handle, start=1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"line {number}: undecodable bytes ({exc.reason} "
+                    f"at byte {exc.start})"
+                ) from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError(
+            f"line {number + 1}: corrupt gzip data ({exc})"
+        ) from None
+
+
+def read_kdd_file(path: str | Path) -> KddTable:
+    """Parse a plain or gzip-compressed KDD file (UTF-8), streaming it.
+
+    gzip is recognised by its magic bytes, whatever the file is named.
+    """
+    with open(path, "rb") as handle:
+        compressed = handle.read(2) == _GZIP_MAGIC
+    opener = gzip.open if compressed else open
+    with opener(path, "rb") as handle:
+        return parse_kdd_lines(_decoded(handle))
 
 
 def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:
@@ -187,13 +273,6 @@ def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:
     return folds
 
 
-def write_fold_assignments(path: str | Path, folds: Sequence[int]) -> None:
-    """Two-column delimited export: record index, fold index."""
-    with open(path, "w") as handle:
-        for index, fold in enumerate(folds):
-            handle.write(f"{index}\t{fold}\n")
-
-
 def minmax_fit(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (min, max) bounds computed on the training split only."""
     train = np.asarray(train, dtype=float)
@@ -211,26 +290,7 @@ def minmax_apply(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.clip(scaled, 0.0, 1.0)
 
 
-def minmax_normalize(
-    train: np.ndarray, test: np.ndarray | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Min-max normalize with bounds from the training split.
-
-    Training values land in [0,1] exactly; test values are clamped into
-    [0,1]. With ``test=None`` only the normalized training data is returned.
-    """
-    lo, hi = minmax_fit(train)
-    train_norm = minmax_apply(train, lo, hi)
-    if test is None:
-        return train_norm
-    return train_norm, minmax_apply(test, lo, hi)
-
-
-def attribute_matrix(
-    records: Iterable[ConnectionRecord], attributes: Sequence[str]
-) -> np.ndarray:
+def attribute_matrix(table: KddTable,
+                     attributes: Sequence[str]) -> np.ndarray:
     """Numeric matrix (records x attributes) for the given attribute names."""
-    return np.array(
-        [[record.numeric(name) for name in attributes] for record in records],
-        dtype=float,
-    )
+    return table.values[:, [_INDEX[name] for name in attributes]]

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dataset import ANOMALOUS
 from .errors import ConfigurationError
 
@@ -105,18 +107,12 @@ def confusion_from_instances(
     """Instance-level confusion rates (anomalous = positive)."""
     if len(predicted) != len(truth):
         raise ConfigurationError("prediction/truth length mismatch")
-    tp = tn = fp = fn = 0
-    for p, t in zip(predicted, truth):
-        if t == ANOMALOUS:
-            if p == ANOMALOUS:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == ANOMALOUS:
-                fp += 1
-            else:
-                tn += 1
+    flagged = np.asarray(predicted, dtype=str) == ANOMALOUS
+    positive = np.asarray(truth, dtype=str) == ANOMALOUS
+    tp = int(np.count_nonzero(flagged & positive))
+    fn = int(np.count_nonzero(~flagged & positive))
+    fp = int(np.count_nonzero(flagged & ~positive))
+    tn = int(np.count_nonzero(~flagged & ~positive))
     return _rates_from_cells(tp, tn, fp, fn)
 
 
@@ -187,16 +183,24 @@ def mann_whitney_two_sided(
 ) -> MannWhitneyResult:
     """Two-sided Mann-Whitney rank test.
 
-    Ties receive midranks. With ``method="auto"`` the p value is exact (full
-    enumeration of the U distribution) when the smaller sample has at most
-    10 elements and the pooled data is tie-free; otherwise the normal
-    approximation with tie and continuity corrections is used. Rejects iff
-    p < alpha.
+    An empty sample is a configuration error. NaN values (rates with no
+    defining instances) are dropped from each sample before ranking; if
+    either sample is left empty, U and p are NaN and the test does not
+    reject. Ties receive midranks. With ``method="auto"`` the p value is
+    exact (full enumeration of the U distribution) when the smaller sample
+    has at most 10 elements and the pooled data is tie-free; otherwise the
+    normal approximation with tie and continuity corrections is used.
+    Rejects iff p < alpha.
     """
     if len(x) == 0 or len(y) == 0:
         raise ConfigurationError("both samples must be non-empty")
     if method not in ("auto", "exact", "approx"):
         raise ConfigurationError(f"unknown method {method!r}")
+    x = [v for v in x if not math.isnan(v)]
+    y = [v for v in y if not math.isnan(v)]
+    if not x or not y:
+        return MannWhitneyResult(u_statistic=math.nan, p_value=math.nan,
+                                 reject=False)
     n_x, n_y = len(x), len(y)
     pooled = list(x) + list(y)
     ranks = _midranks(pooled)

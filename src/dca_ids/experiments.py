@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .dataset import (
-    ConnectionRecord,
-    binarize_label,
+    ANOMALOUS,
+    NORMAL,
+    KddTable,
     kfold_split,
     read_kdd_file,
 )
@@ -118,10 +119,10 @@ class SweepPoint:
 
 
 def _signal_config(config: ExperimentConfig,
-                   records: Sequence[ConnectionRecord]) -> SignalConfig:
+                   table: KddTable) -> SignalConfig:
     if config.range_config_path is not None:
         return load_signal_config(config.range_config_path)
-    return default_signal_config(records)
+    return default_signal_config(table)
 
 
 def _dca_sweep_point(
@@ -166,8 +167,8 @@ def _with_mann_whitney(point: SweepPoint, base: SweepPoint,
 
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     """Execute one experiment family and write its reports."""
-    records = read_kdd_file(config.data_path)
-    if not records:
+    table = read_kdd_file(config.data_path)
+    if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,20 +177,20 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         mcav_dir.mkdir(exist_ok=True)
 
     if config.experiment == "E2":
-        points = _run_e2(config, records)
+        points = _run_e2(config, table)
     else:
-        points = _run_e1(config, records, mcav_dir)
+        points = _run_e1(config, table, mcav_dir)
 
     emit_report(points, config, out_dir)
     return points
 
 
-def _run_e1(config: ExperimentConfig, records: Sequence[ConnectionRecord],
+def _run_e1(config: ExperimentConfig, table: KddTable,
             mcav_dir: Path | None) -> list[SweepPoint]:
-    ranges = _signal_config(config, records)
-    antigens = antigen_stream(records)
-    signals = signal_stream(records, ranges)
-    labels = [binarize_label(r.label) for r in records]
+    ranges = _signal_config(config, table)
+    antigens = antigen_stream(table)
+    signals = signal_stream(table, ranges)
+    labels = np.where(table.anomalous, ANOMALOUS, NORMAL).tolist()
     truth = classify_types(perfect_mcav(antigens, labels),
                            config.dca.mcav_threshold)
     weights = type_instance_counts(antigens)
@@ -223,11 +224,10 @@ def _run_e1(config: ExperimentConfig, records: Sequence[ConnectionRecord],
     return points
 
 
-def _run_e2(config: ExperimentConfig,
-            records: Sequence[ConnectionRecord]) -> list[SweepPoint]:
-    ranges = _signal_config(config, records)
+def _run_e2(config: ExperimentConfig, table: KddTable) -> list[SweepPoint]:
+    ranges = _signal_config(config, table)
     attributes = ranges.attribute_names or DEFAULT_SIGNAL_ATTRIBUTES
-    folds = kfold_split(len(records), config.folds, config.fold_seed)
+    folds = kfold_split(len(table), config.folds, config.fold_seed)
     points = []
     for d in config.dimensions:
         if d > len(attributes):
@@ -238,7 +238,7 @@ def _run_e2(config: ExperimentConfig,
         subset = attributes[:d]
         per_seed = []
         for seed in config.seeds:
-            _, mean = run_nsa(records, subset, folds, config.nsa, seed)
+            _, mean = run_nsa(table, subset, folds, config.nsa, seed)
             per_seed.append(RunResult(f"E2:{d}", seed, mean))
             logger.info("E2 d=%d seed=%d tp=%s fp=%s", d, seed,
                         _fmt(mean.tp_rate), _fmt(mean.fp_rate))
@@ -304,9 +304,10 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         lines = ["category\tparameter\tu_statistic\tp_value\treject"]
         for p in tested:
             t = p.mann_whitney
+            u = "NA" if math.isnan(t.u_statistic) else f"{t.u_statistic:.1f}"
             lines.append(
-                f"{p.category}\t{p.parameter}\t{t.u_statistic:.1f}\t"
-                f"{t.p_value:.6f}\t{str(t.reject).lower()}"
+                f"{p.category}\t{p.parameter}\t{u}\t"
+                f"{_fmt(t.p_value)}\t{str(t.reject).lower()}"
             )
         _atomic_write(out_dir / "mannwhitney.tsv", "\n".join(lines) + "\n")
 
@@ -335,10 +336,10 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
     _atomic_write(out_dir / "provenance.txt", "\n".join(provenance) + "\n")
 
 
-def emit_infogain(records: Sequence[ConnectionRecord], destination: Path) -> None:
+def emit_infogain(table: KddTable, destination: Path) -> None:
     """Write attribute/gain pairs, best first, flagging the default signal
     attributes."""
-    gains = attribute_gains(records)
+    gains = attribute_gains(table)
     lines = ["attribute\tgain\tdefault_signal_attribute"]
     for name, gain in gains:
         flagged = "yes" if name in DEFAULT_SIGNAL_ATTRIBUTES else "no"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -17,9 +16,8 @@ import numpy as np
 from .dataset import (
     ANOMALOUS,
     NORMAL,
-    ConnectionRecord,
+    KddTable,
     attribute_matrix,
-    binarize_label,
     minmax_fit,
     minmax_apply,
 )
@@ -30,21 +28,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_SELF_RADIUS = 0.1
 DEFAULT_DETECTOR_RADIUS = 0.1
 DEFAULT_DETECTOR_COUNT = 1000
-
-
-@dataclass(frozen=True)
-class Detector:
-    center: np.ndarray
-    radius: float
-
-
-def euclidean_match(a: Sequence[float], b: Sequence[float], r: float) -> bool:
-    """True iff the Euclidean distance between a and b is strictly below r."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b)) < r
 
 
 def generate_detectors(
@@ -124,16 +107,6 @@ def classify_points(
     return [ANOMALOUS if d < detector_radius else NORMAL for d in distances]
 
 
-def classify_point(
-    point: Sequence[float],
-    detectors: np.ndarray,
-    detector_radius: float = DEFAULT_DETECTOR_RADIUS,
-) -> str:
-    return classify_points(
-        np.asarray(point, dtype=float)[None, :], detectors, detector_radius
-    )[0]
-
-
 @dataclass
 class NsaParams:
     self_radius: float = DEFAULT_SELF_RADIUS
@@ -144,23 +117,20 @@ class NsaParams:
 
 def run_nsa_fold(
     train_matrix: np.ndarray,
-    train_labels: Sequence[str],
+    train_normal: np.ndarray,
     test_matrix: np.ndarray,
-    test_labels: Sequence[str],
     params: NsaParams,
     seed: int,
 ):
     """One cross-validation fold: fit bounds on training data, censor
-    detectors against the normalized normal training instances, classify the
-    normalized test instances. Returns (predicted labels, detectors)."""
+    detectors against the normalized training instances marked in
+    ``train_normal``, classify the normalized test instances. Returns
+    (predicted labels, detectors)."""
     lo, hi = minmax_fit(train_matrix)
     train_norm = minmax_apply(train_matrix, lo, hi)
     test_norm = minmax_apply(test_matrix, lo, hi)
-    self_points = train_norm[
-        np.array([label == NORMAL for label in train_labels])
-    ]
     detectors = generate_detectors(
-        self_points,
+        train_norm[train_normal],
         params.detector_count,
         train_matrix.shape[1],
         seed,
@@ -173,7 +143,7 @@ def run_nsa_fold(
 
 
 def run_nsa(
-    records: Sequence[ConnectionRecord],
+    table: KddTable,
     attributes: Sequence[str],
     folds: np.ndarray,
     params: NsaParams,
@@ -188,52 +158,23 @@ def run_nsa(
 
     if not 1 <= len(attributes):
         raise ConfigurationError("need at least one attribute")
-    matrix = attribute_matrix(records, attributes)
-    labels = [binarize_label(r.label) for r in records]
+    matrix = attribute_matrix(table, attributes)
+    normal = ~table.anomalous
     folds = np.asarray(folds)
     per_fold = []
     for fold in range(int(folds.max()) + 1):
         test_mask = folds == fold
         train_mask = ~test_mask
-        train_labels = [l for l, m in zip(labels, train_mask) if m]
-        if NORMAL not in train_labels:
+        if not normal[train_mask].any():
             logger.warning("fold %d has no normal training instances; skipped",
                            fold)
             continue
-        test_labels = [l for l, m in zip(labels, test_mask) if m]
         predictions, _ = run_nsa_fold(
-            matrix[train_mask], train_labels,
-            matrix[test_mask], test_labels,
+            matrix[train_mask], normal[train_mask], matrix[test_mask],
             params, seed,
         )
-        per_fold.append(confusion_from_instances(predictions, test_labels))
+        truth = np.where(normal[test_mask], NORMAL, ANOMALOUS)
+        per_fold.append(confusion_from_instances(predictions, truth))
     if not per_fold:
         raise ConfigurationError("every fold was skipped; no results")
     return per_fold, average_rates(per_fold)
-
-
-def write_detectors(
-    detectors: np.ndarray, radius: float, path: str | Path
-) -> None:
-    """Export: radius header line, then one center per line."""
-    with open(path, "w") as handle:
-        handle.write(f"# radius {radius:.10g}\n")
-        for center in detectors:
-            handle.write("\t".join(f"{v:.10g}" for v in center) + "\n")
-
-
-def read_detectors(path: str | Path) -> tuple[np.ndarray, float]:
-    radius = DEFAULT_DETECTOR_RADIUS
-    centers = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) >= 3 and parts[1] == "radius":
-                    radius = float(parts[2])
-                continue
-            centers.append([float(v) for v in line.split()])
-    return np.array(centers), radius

@@ -1,26 +1,29 @@
 """Signal and antigen stream construction.
 
-Turns parsed connection records into the two input streams the cell
+Turns a parsed connection table into the two input streams the cell
 population consumes: per-record (PAMP, danger, safe) triples scored in
 [0, 100], and antigen type identifiers built from the protocol/service/flag
-nominals. Also hosts the entropy / information-gain attribute ranking, the
-moving-time-window smoothing and the antigen multiplier.
+nominals. Also hosts the entropy / information-gain attribute ranking and the
+moving-time-window smoothing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import (
     ATTRIBUTE_NAMES,
+    BINARY_ATTRIBUTES,
+    CODED_ATTRIBUTES,
     CONTINUOUS_ATTRIBUTES,
+    NOMINAL_ATTRIBUTES,
     NORMAL,
-    ConnectionRecord,
-    binarize_label,
+    KddTable,
+    attribute_matrix,
 )
 from .errors import ConfigurationError
 
@@ -28,9 +31,7 @@ CATEGORIES = ("PAMP", "DS", "SS")
 
 # Attributes a signal can score: every continuous one plus the nominals whose
 # values are '0'/'1'.
-SCORABLE_ATTRIBUTES = frozenset(CONTINUOUS_ATTRIBUTES) | {
-    "land", "logged_in", "is_host_login", "is_guest_login",
-}
+SCORABLE_ATTRIBUTES = frozenset(CONTINUOUS_ATTRIBUTES) | set(BINARY_ATTRIBUTES)
 
 # Default attribute grouping, pinned to KDD-99 schema names. Overridable via
 # a range-configuration file.
@@ -110,19 +111,17 @@ class SignalConfig:
         return tuple(r.name for r in self.ranges)
 
 
-def default_signal_config(
-    records: Sequence[ConnectionRecord] | None = None,
-) -> SignalConfig:
+def default_signal_config(table: KddTable | None = None) -> SignalConfig:
     """Build the shipped ten-attribute configuration.
 
     Rate-valued attributes use [0, 1]; count-valued attributes use the 5th
-    and 95th percentiles of ``records`` when given, else fixed field-cap
-    fallbacks; logged_in (binary) uses [0, 1].
+    and 95th percentiles of ``table`` when it has records, else fixed
+    field-cap fallbacks; logged_in (binary) uses [0, 1].
     """
     count_bounds = dict(_FALLBACK_COUNT_BOUNDS)
-    if records:
+    if table:
         for name in _COUNT_ATTRIBUTES:
-            values = np.array([r.numeric(name) for r in records])
+            values = table.column(name)
             lo = float(np.percentile(values, 5))
             hi = float(np.percentile(values, 95))
             if hi > lo:
@@ -182,16 +181,6 @@ def load_signal_config(path: str | Path) -> SignalConfig:
     return SignalConfig(tuple(ranges))
 
 
-def write_signal_config(config: SignalConfig, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        handle.write("# attribute category lower upper direction\n")
-        for r in config.ranges:
-            handle.write(
-                f"{r.name} {r.category} {r.lower:.10g} {r.upper:.10g} "
-                f"{r.direction}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Entropy and information gain
 # ---------------------------------------------------------------------------
@@ -209,106 +198,100 @@ def entropy2(p1: float, p2: float) -> float:
     return total
 
 
-def _label_entropy(labels: Sequence[str]) -> float:
-    n = len(labels)
-    positives = sum(1 for label in labels if label == NORMAL)
-    return entropy2(positives / n, (n - positives) / n)
-
-
-def _discretize(values: Sequence, bins: int) -> list:
-    """Equal-width binning for numeric attribute values; passthrough otherwise."""
-    if not all(isinstance(v, (int, float)) for v in values):
-        return list(values)
-    lo = min(values)
-    hi = max(values)
+def _binned(values: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-width bin index of each value over the observed range."""
+    lo = values.min()
+    hi = values.max()
     if hi == lo:
-        return [0] * len(values)
+        return np.zeros(len(values), dtype=np.int64)
     width = (hi - lo) / bins
-    return [min(int((v - lo) / width), bins - 1) for v in values]
+    return np.minimum(((values - lo) / width).astype(np.int64), bins - 1)
+
+
+def _gain(keys: np.ndarray, normal: np.ndarray) -> float:
+    """Information gain of the partition ``keys`` about the ``normal`` mask.
+
+    Subset entropies are summed in order of each key's first appearance.
+    """
+    n = len(keys)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sizes = np.bincount(inverse)
+    normals = np.bincount(inverse[normal], minlength=len(sizes))
+    order = np.argsort(first)
+    weighted = sum(
+        size / n * entropy2(count / size, (size - count) / size)
+        for size, count in zip(sizes[order].tolist(), normals[order].tolist())
+    )
+    positives = int(normal.sum())
+    gain = entropy2(positives / n, (n - positives) / n) - weighted
+    return max(gain, 0.0)
 
 
 def info_gain(values: Sequence, labels: Sequence[str], bins: int = 10) -> float:
     """Entropy reduction of the binary label distribution from conditioning
     on an attribute. Numeric values are first discretized into ``bins``
-    equal-width bins over their observed range."""
-    if not values or len(values) != len(labels):
+    equal-width bins over their observed range; other values are categories."""
+    if len(values) == 0 or len(values) != len(labels):
         raise ValueError("need equally sized, non-empty values and labels")
-    keys = _discretize(values, bins)
-    total = _label_entropy(labels)
-    n = len(labels)
-    subsets: dict = {}
-    for key, label in zip(keys, labels):
-        subsets.setdefault(key, []).append(label)
-    weighted = sum(
-        len(subset) / n * _label_entropy(subset) for subset in subsets.values()
-    )
-    gain = total - weighted
-    return max(gain, 0.0)
+    if all(isinstance(v, (int, float)) for v in values):
+        keys = _binned(np.asarray(values, dtype=float), bins)
+    else:
+        keys = np.asarray(values, dtype=str)
+    return _gain(keys, np.asarray(labels, dtype=str) == NORMAL)
 
 
-def attribute_gains(
-    records: Sequence[ConnectionRecord], bins: int = 10
-) -> list[tuple[str, float]]:
-    """Information gain of every attribute, sorted descending by gain."""
-    labels = [binarize_label(r.label) for r in records]
+def attribute_gains(table: KddTable,
+                    bins: int = 10) -> list[tuple[str, float]]:
+    """Information gain of every attribute, sorted descending by gain.
+
+    Nominal attributes partition by value, continuous ones by equal-width
+    bin."""
+    if not table:
+        raise ConfigurationError("no records to rank attributes on")
+    normal = ~table.anomalous
     gains = []
     for name in ATTRIBUTE_NAMES:
-        values = [r.attribute(name) for r in records]
-        gains.append((name, info_gain(values, labels, bins)))
+        column = table.column(name)
+        keys = column if name in NOMINAL_ATTRIBUTES else _binned(column, bins)
+        gains.append((name, _gain(keys, normal)))
     gains.sort(key=lambda pair: (-pair[1], pair[0]))
     return gains
-
-
-def select_attributes(
-    records: Sequence[ConnectionRecord], cutoff: float
-) -> list[str]:
-    """Attributes whose information gain reaches the cutoff, best first."""
-    return [name for name, gain in attribute_gains(records) if gain >= cutoff]
 
 
 # ---------------------------------------------------------------------------
 # Signal scoring
 # ---------------------------------------------------------------------------
 
-def normalize_signal(x: float, lower: float, upper: float) -> float:
-    """Piecewise score in [0, 100]: 0 below the window, 100 above it, and
-    linear (continuous at both bounds) inside it."""
+def normalize_signal(x, lower: float, upper: float):
+    """Piecewise score in [0, 100] of a value or an array of values: 0 below
+    the window, 100 above it, and linear (continuous at both bounds) inside
+    it."""
     if not lower < upper:
         raise ConfigurationError(
             f"lower bound {lower} must be below upper bound {upper}"
         )
-    if x < lower:
-        return 0.0
-    if x > upper:
-        return 100.0
-    return (x - lower) / (upper - lower) * 100.0
+    # Clipping first gives exactly 0 below the window and exactly 100 above.
+    return (np.clip(x, lower, upper) - lower) / (upper - lower) * 100.0
 
 
-def _score(record: ConnectionRecord, r: AttributeRange) -> float:
-    score = normalize_signal(record.numeric(r.name), r.lower, r.upper)
-    return 100.0 - score if r.direction == "-" else score
+def signal_stream(table: KddTable, config: SignalConfig) -> np.ndarray:
+    """Stream-order (n, 3) array of (PAMP, danger, safe) scores.
 
-
-def build_signal_triple(
-    record: ConnectionRecord, config: SignalConfig
-) -> tuple[float, float, float]:
-    """Category scores as the arithmetic mean of the member attribute scores."""
-    triple = []
-    for category in CATEGORIES:
+    Each category score is the arithmetic mean of its member attributes'
+    ``normalize_signal`` scores ('-' direction: 100 minus the score), summed
+    in configuration order.
+    """
+    stream = np.empty((len(table), len(CATEGORIES)))
+    for j, category in enumerate(CATEGORIES):
         ranges = config.by_category(category)
         if not ranges:
             raise ConfigurationError(f"no attributes configured for {category}")
-        triple.append(sum(_score(record, r) for r in ranges) / len(ranges))
-    return tuple(triple)
-
-
-def signal_stream(
-    records: Iterable[ConnectionRecord], config: SignalConfig
-) -> np.ndarray:
-    """Stream-order (n, 3) array of (PAMP, danger, safe) scores."""
-    return np.array(
-        [build_signal_triple(record, config) for record in records], dtype=float
-    ).reshape(-1, 3)
+        total = np.zeros(len(table))
+        for r in ranges:
+            score = normalize_signal(table.column(r.name), r.lower, r.upper)
+            total += 100.0 - score if r.direction == "-" else score
+        stream[:, j] = total / len(ranges)
+    return stream
 
 
 def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
@@ -334,31 +317,14 @@ def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
 # Antigens
 # ---------------------------------------------------------------------------
 
-def derive_antigen_type(record: ConnectionRecord) -> str:
-    """Antigen identifier: order-preserving join of protocol, service, flag."""
-    return f"{record.protocol}:{record.service}:{record.flag}"
-
-
-def antigen_stream(records: Iterable[ConnectionRecord]) -> list[str]:
-    return [derive_antigen_type(record) for record in records]
-
-
-def multiply_antigen(antigen: str, k: int) -> list[str]:
-    """Exactly k identical copies of the antigen identifier."""
-    if k < 1:
-        raise ConfigurationError(f"antigen multiplier must be >= 1, got {k}")
-    return [antigen] * k
-
-
-def write_signal_stream(stream: np.ndarray, path: str | Path) -> None:
-    """Delimited export: index, pamp, danger, safe."""
-    with open(path, "w") as handle:
-        for index, (pamp, danger, safe) in enumerate(stream):
-            handle.write(f"{index}\t{pamp:.6f}\t{danger:.6f}\t{safe:.6f}\n")
-
-
-def write_antigen_stream(antigens: Sequence[str], path: str | Path) -> None:
-    """Delimited export: index, antigen-type."""
-    with open(path, "w") as handle:
-        for index, antigen in enumerate(antigens):
-            handle.write(f"{index}\t{antigen}\n")
+def antigen_stream(table: KddTable) -> list[str]:
+    """Per-record antigen identifier: the protocol, service and flag values
+    joined with ':'."""
+    codes = attribute_matrix(table, CODED_ATTRIBUTES).astype(np.int64)
+    triples, inverse = np.unique(codes, axis=0, return_inverse=True)
+    names = [
+        ":".join(table.vocabularies[name][code]
+                 for name, code in zip(CODED_ATTRIBUTES, triple))
+        for triple in triples.tolist()
+    ]
+    return [names[i] for i in inverse.tolist()]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dca_ids.dataset import ATTRIBUTE_NAMES, NOMINAL_ATTRIBUTES, parse_kdd_record
+from dca_ids.dataset import ATTRIBUTE_NAMES, NOMINAL_ATTRIBUTES, parse_kdd_lines
 
 _DEFAULTS = {
     "protocol_type": "tcp",
@@ -28,8 +28,9 @@ def make_line(label="normal.", **overrides):
     return ",".join(fields)
 
 
-def make_record(label="normal.", **overrides):
-    return parse_kdd_record(make_line(label=label, **overrides))
+def one_record(label="normal.", **overrides):
+    """A one-row KddTable parsed from ``make_line(label, **overrides)``."""
+    return parse_kdd_lines([make_line(label=label, **overrides)])
 
 
 def anomalous_line(service="private", flag="S0"):

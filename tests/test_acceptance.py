@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dca_ids.dataset import binarize_label, kfold_split, read_kdd_file
+from dca_ids.dataset import ANOMALOUS, NORMAL, kfold_split, read_kdd_file
 from dca_ids.dca import DcaConfig, classify_types, run_dca, run_dca_with_log, transform_signals
 from dca_ids.evaluation import (
     confusion_from_types,
@@ -59,11 +59,11 @@ class KddRuns:
     """Loads the data once and caches per-configuration sweep results."""
 
     def __init__(self, path):
-        self.records = read_kdd_file(path)
-        self.ranges = default_signal_config(self.records)
-        self.antigens = antigen_stream(self.records)
-        self.signals = signal_stream(self.records, self.ranges)
-        self.labels = [binarize_label(r.label) for r in self.records]
+        self.table = read_kdd_file(path)
+        self.ranges = default_signal_config(self.table)
+        self.antigens = antigen_stream(self.table)
+        self.signals = signal_stream(self.table, self.ranges)
+        self.labels = np.where(self.table.anomalous, ANOMALOUS, NORMAL).tolist()
         self.weights = type_instance_counts(self.antigens)
         self.truth = classify_types(
             perfect_mcav(self.antigens, self.labels), 0.8
@@ -93,8 +93,8 @@ class KddRuns:
 @pytest.fixture(scope="module")
 def kdd():
     runs = KddRuns(os.environ[DATA_ENV])
-    assert len(runs.records) == 494021, (
-        f"expected the 494021-record 10% subset, got {len(runs.records)}"
+    assert len(runs.table) == 494021, (
+        f"expected the 494021-record 10% subset, got {len(runs.table)}"
     )
     return runs
 
@@ -143,13 +143,13 @@ def test_criterion_3_large_window_degradation(kdd):
 @requires_data
 def test_criterion_4_negative_selection_collapse(kdd):
     attributes = kdd.ranges.attribute_names
-    folds = kfold_split(len(kdd.records), 10, seed=1)
+    folds = kfold_split(len(kdd.table), 10, seed=1)
     params = NsaParams()
     by_dimension = {}
     for d in range(2, 11):
         per_seed = []
         for seed in SEEDS:
-            _, mean = run_nsa(kdd.records, attributes[:d], folds, params, seed)
+            _, mean = run_nsa(kdd.table, attributes[:d], folds, params, seed)
             per_seed.append(mean)
         by_dimension[d] = (
             float(np.mean([r.tp_rate for r in per_seed])),
@@ -275,7 +275,6 @@ class TestCriterion5:
         check("5f (Mann-Whitney exact enumeration, n<=7)", ok)
 
     def test_nsa_censoring_and_monotonicity(self):
-        from dca_ids.dataset import ANOMALOUS
         from dca_ids.nsa import classify_points, generate_detectors
 
         rng = np.random.default_rng(5)

@@ -1,12 +1,19 @@
+import gzip
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import dca_ids
-from dca_ids.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+import pytest
 
-from conftest import make_line
+import dca_ids
+from dca_ids.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE, main
+from dca_ids.evaluation import (ConfusionRates, RunResult,
+                                 mann_whitney_two_sided)
+from dca_ids.experiments import ExperimentConfig, SweepPoint, emit_report
+
+from conftest import anomalous_line, make_line, normal_line
 
 
 def read_rows(path):
@@ -131,6 +138,40 @@ class TestErrorPaths:
         code = main(["e1.1", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["e1.1", "infogain"])
+    def test_binary_nominal_not_0_or_1(self, tmp_path, capsys, command):
+        path = tmp_path / "data.kdd"
+        path.write_text("\n".join([normal_line()] * 10
+                                  + [make_line(logged_in="x")]) + "\n")
+        code = main([command, str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_PARSE
+        assert ("line 11: binary column 12 (logged_in) must be 0 or 1, "
+                "got 'x'") in capsys.readouterr().err
+
+    def test_infogain_on_empty_file(self, tmp_path):
+        path = tmp_path / "data.kdd"
+        path.write_text("\n")
+        code = main(["infogain", str(path), "--out", str(tmp_path / "g.tsv")])
+        assert code == EXIT_CONFIG
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "data.kdd"
+        path.write_bytes(make_line().encode() + b"\nnormal\xff\n")
+        code = main(["infogain", str(path), "--out", str(tmp_path / "g.tsv")])
+        assert code == EXIT_PARSE
+        assert "line 2: undecodable bytes" in capsys.readouterr().err
+
+    def test_gzip_detected_by_content(self, tmp_path):
+        plain = tmp_path / "plain.kdd.gz"
+        plain.write_text(normal_line() + "\n" + anomalous_line() + "\n")
+        packed = tmp_path / "packed.kdd"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        for path in (plain, packed):
+            out = tmp_path / f"{path.name}.tsv"
+            assert main(["infogain", str(path), "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / "plain.kdd.gz.tsv").read_text() == (
+            tmp_path / "packed.kdd.tsv").read_text()
+
     def test_invalid_sweep_values(self, tmp_path):
         path = tmp_path / "data.kdd"
         path.write_text(make_line() + "\n")
@@ -196,3 +237,20 @@ class TestImport:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+
+class TestReports:
+    def test_untestable_mann_whitney_row_written_na(self, tmp_path):
+        # A sweep point whose per-seed TP rates are all NaN (no seed
+        # presented an anomalous type) has nothing to rank.
+        rates = ConfusionRates(math.nan, 1.0, 0.0, math.nan)
+        base = SweepPoint("E1.1", "-", rates, (RunResult("E1.1:-", 1, rates),))
+        point = SweepPoint("E1.2", "5", rates,
+                           (RunResult("E1.2:5", 1, rates),),
+                           mann_whitney_two_sided([math.nan], [0.5]))
+        config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path)
+        emit_report([base, point], config, tmp_path)
+        assert read_rows(tmp_path / "mannwhitney.tsv") == [{
+            "category": "E1.2", "parameter": "5", "u_statistic": "NA",
+            "p_value": "NA", "reject": "false",
+        }]

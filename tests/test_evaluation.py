@@ -208,6 +208,20 @@ class TestMannWhitney:
         with pytest.raises(ConfigurationError):
             mann_whitney_two_sided([], [1.0])
 
+    def test_nan_dropped_wherever_it_sits(self):
+        y = [0.4, 0.6, 0.8]
+        first = mann_whitney_two_sided([math.nan, 0.5, 0.7], y)
+        middle = mann_whitney_two_sided([0.5, math.nan, 0.7], y)
+        assert first == middle == mann_whitney_two_sided([0.5, 0.7], y)
+        assert (mann_whitney_two_sided(y, [0.5, 0.7, math.nan])
+                == mann_whitney_two_sided(y, [0.5, 0.7]))
+
+    def test_all_nan_sample_gives_nan_and_no_rejection(self):
+        result = mann_whitney_two_sided([math.nan, math.nan], [0.1, 0.2])
+        assert math.isnan(result.u_statistic)
+        assert math.isnan(result.p_value)
+        assert not result.reject
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=8),

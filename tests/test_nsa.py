@@ -6,32 +6,33 @@ from dca_ids.dataset import ANOMALOUS, NORMAL, kfold_split
 from dca_ids.errors import ConfigurationError
 from dca_ids.nsa import (
     NsaParams,
-    classify_point,
     classify_points,
-    euclidean_match,
     generate_detectors,
-    read_detectors,
     run_nsa,
-    write_detectors,
 )
 
 from conftest import anomalous_line, normal_line
-from dca_ids.dataset import parse_kdd_record
+from dca_ids.dataset import parse_kdd_lines
+
+
+def classify_point(point, detectors, radius=0.1):
+    return classify_points(np.array([point], dtype=float),
+                           np.array(detectors, dtype=float), radius)[0]
 
 
 class TestEuclideanMatch:
     def test_zero_distance(self):
-        assert euclidean_match([0.5, 0.5], [0.5, 0.5], 0.1)
+        assert classify_point([0.5, 0.5], [[0.5, 0.5]]) == ANOMALOUS
 
     def test_within_radius(self):
-        assert euclidean_match([0.0, 0.0], [0.05, 0.0], 0.1)
+        assert classify_point([0.0, 0.0], [[0.05, 0.0]]) == ANOMALOUS
 
     def test_boundary_is_strict(self):
-        assert not euclidean_match([0.0, 0.0], [0.1, 0.0], 0.1)
+        assert classify_point([0.0, 0.0], [[0.1, 0.0]]) == NORMAL
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            euclidean_match([0.0], [0.0, 0.0], 0.1)
+            classify_point([0.0], [[0.0, 0.0]])
 
 
 class TestGenerateDetectors:
@@ -78,7 +79,7 @@ class TestGenerateDetectors:
                                        max_attempts=2000)
         for center in detectors:
             for point in self_points:
-                assert not euclidean_match(center, point, 0.2)
+                assert np.linalg.norm(center - point) >= 0.2
 
 
 class TestClassify:
@@ -107,12 +108,8 @@ class TestClassify:
 
 class TestRunNsa:
     def records(self, n_normal=40, n_anomalous=40):
-        records = []
-        for _ in range(n_normal):
-            records.append(parse_kdd_record(normal_line()))
-        for _ in range(n_anomalous):
-            records.append(parse_kdd_record(anomalous_line()))
-        return records
+        return parse_kdd_lines([normal_line()] * n_normal
+                               + [anomalous_line()] * n_anomalous)
 
     def attributes(self):
         return ["serror_rate", "srv_serror_rate", "count", "srv_count",
@@ -158,12 +155,3 @@ class TestRunNsa:
         b = run_nsa(records, self.attributes(), folds, params, seed=9)[1]
         assert a == b
 
-
-class TestDetectorIo:
-    def test_roundtrip(self, tmp_path):
-        detectors = np.random.default_rng(1).random((5, 3))
-        path = tmp_path / "detectors.tsv"
-        write_detectors(detectors, 0.1, path)
-        loaded, radius = read_detectors(path)
-        assert radius == 0.1
-        assert loaded == pytest.approx(detectors)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dca_ids.dataset import parse_kdd_lines
+from dca_ids.dca import DcaConfig, run_dca_with_log
 from dca_ids.errors import ConfigurationError
 from dca_ids.signals import (
     AttributeRange,
@@ -12,19 +14,15 @@ from dca_ids.signals import (
     antigen_stream,
     apply_time_window,
     attribute_gains,
-    build_signal_triple,
     default_signal_config,
-    derive_antigen_type,
     entropy2,
     info_gain,
     load_signal_config,
-    multiply_antigen,
     normalize_signal,
-    select_attributes,
-    write_signal_config,
+    signal_stream,
 )
 
-from conftest import make_record
+from conftest import make_line, one_record
 
 
 def brute_entropy(labels):
@@ -111,34 +109,43 @@ class TestInfoGain:
         assert -1e-12 <= gain <= brute_entropy(labels) + 1e-12
 
 
+def selected(table, cutoff):
+    """Attributes whose information gain reaches the cutoff, best first."""
+    return [name for name, gain in attribute_gains(table) if gain >= cutoff]
+
+
 class TestSelectAttributes:
     def test_cutoff_zero_keeps_everything(self):
-        records = [make_record(label="normal."),
-                   make_record(label="smurf.", count=100)]
-        assert len(select_attributes(records, 0.0)) == 41
+        table = parse_kdd_lines([make_line(label="normal."),
+                                 make_line(label="smurf.", count=100)])
+        assert len(selected(table, 0.0)) == 41
 
     def test_cutoff_above_max_removes_everything(self):
-        records = [make_record(label="normal."),
-                   make_record(label="smurf.", count=100)]
-        assert select_attributes(records, 2.0) == []
+        table = parse_kdd_lines([make_line(label="normal."),
+                                 make_line(label="smurf.", count=100)])
+        assert selected(table, 2.0) == []
 
     def test_discriminating_attribute_wins(self):
-        records = (
-            [make_record(label="normal.", service="http")] * 2
-            + [make_record(label="smurf.", service="private")] * 2
+        table = parse_kdd_lines(
+            [make_line(label="normal.", service="http")] * 2
+            + [make_line(label="smurf.", service="private")] * 2
         )
-        selected = select_attributes(records, 0.5)
-        assert "service" in selected
-        assert "duration" not in selected
+        chosen = selected(table, 0.5)
+        assert "service" in chosen
+        assert "duration" not in chosen
 
     def test_gains_sorted_descending(self):
-        records = (
-            [make_record(label="normal.", service="http")] * 3
-            + [make_record(label="smurf.", service="private", count=9)] * 3
+        table = parse_kdd_lines(
+            [make_line(label="normal.", service="http")] * 3
+            + [make_line(label="smurf.", service="private", count=9)] * 3
         )
-        gains = attribute_gains(records)
+        gains = attribute_gains(table)
         values = [g for _, g in gains]
         assert values == sorted(values, reverse=True)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ConfigurationError):
+            attribute_gains(parse_kdd_lines([]))
 
 
 class TestNormalizeSignal:
@@ -166,6 +173,11 @@ class TestNormalizeSignal:
         assert scores[0] <= scores[1]
 
 
+def triple(table, config):
+    """The (PAMP, danger, safe) scores of a one-record table."""
+    return tuple(signal_stream(table, config)[0].tolist())
+
+
 class TestSignalTriple:
     def config(self):
         return SignalConfig((
@@ -182,18 +194,18 @@ class TestSignalTriple:
         ))
 
     def test_category_mean(self):
-        record = make_record(count=40, srv_count=60)
-        assert build_signal_triple(record, self.config())[1] == pytest.approx(50.0)
+        record = one_record(count=40, srv_count=60)
+        assert triple(record, self.config())[1] == pytest.approx(50.0)
 
     def test_all_lower_bounds(self):
-        assert build_signal_triple(make_record(), self.config()) == (0, 0, 0)
+        assert triple(one_record(), self.config()) == (0, 0, 0)
 
     def test_saturated_pamp_only(self):
-        record = make_record(
+        record = one_record(
             serror_rate=1, srv_serror_rate=1, same_srv_rate=1,
             dst_host_serror_rate=1, dst_host_srv_serror_rate=1,
         )
-        assert build_signal_triple(record, self.config()) == (100.0, 0.0, 0.0)
+        assert triple(record, self.config()) == (100.0, 0.0, 0.0)
 
     def test_direction_flip(self):
         config = SignalConfig((
@@ -201,17 +213,23 @@ class TestSignalTriple:
             AttributeRange("count", "DS", 0, 100),
             AttributeRange("logged_in", "SS", 0, 1),
         ))
-        assert build_signal_triple(make_record(), config)[0] == 100.0
+        assert triple(one_record(), config)[0] == 100.0
 
     def test_empty_category_rejected(self):
         config = SignalConfig((AttributeRange("count", "DS", 0, 100),))
         with pytest.raises(ConfigurationError):
-            build_signal_triple(make_record(), config)
+            signal_stream(one_record(), config)
 
     def test_components_bounded(self):
-        record = make_record(count=1e6, serror_rate=1, logged_in="1")
-        triple = build_signal_triple(record, self.config())
-        assert all(0 <= v <= 100 for v in triple)
+        record = one_record(count=1e6, serror_rate=1, logged_in="1")
+        scores = triple(record, self.config())
+        assert all(0 <= v <= 100 for v in scores)
+
+    def test_stream_rows_follow_records(self):
+        table = parse_kdd_lines([make_line(count=40), make_line(count=60)])
+        stream = signal_stream(table, self.config())
+        assert stream.shape == (2, 3)
+        assert stream[:, 1].tolist() == [20.0, 30.0]
 
 
 class TestDefaultConfig:
@@ -223,8 +241,8 @@ class TestDefaultConfig:
         assert len(config.by_category("SS")) == 3
 
     def test_percentile_bounds_from_records(self):
-        records = [make_record(count=i) for i in range(101)]
-        config = default_signal_config(records)
+        table = parse_kdd_lines([make_line(count=i) for i in range(101)])
+        config = default_signal_config(table)
         count_range = next(r for r in config.ranges if r.name == "count")
         assert count_range.lower == pytest.approx(5.0)
         assert count_range.upper == pytest.approx(95.0)
@@ -232,7 +250,10 @@ class TestDefaultConfig:
     def test_roundtrip_through_file(self, tmp_path):
         config = default_signal_config()
         path = tmp_path / "ranges.conf"
-        write_signal_config(config, path)
+        path.write_text("".join(
+            f"{r.name} {r.category} {r.lower!r} {r.upper!r} {r.direction}\n"
+            for r in config.ranges
+        ))
         assert load_signal_config(path) == config
 
     def test_bad_file_rejected(self, tmp_path):
@@ -279,31 +300,42 @@ class TestTimeWindow:
 
 class TestAntigens:
     def test_join(self):
-        assert derive_antigen_type(make_record()) == "tcp:http:SF"
+        assert antigen_stream(one_record()) == ["tcp:http:SF"]
 
     def test_deterministic(self):
-        assert derive_antigen_type(make_record()) == derive_antigen_type(
-            make_record()
-        )
+        table = parse_kdd_lines([make_line(), make_line()])
+        assert antigen_stream(table) == antigen_stream(one_record()) * 2
 
     def test_distinct_triples_distinct_ids(self):
-        a = derive_antigen_type(make_record(protocol_type="udp"))
-        b = derive_antigen_type(make_record(protocol_type="tcp"))
+        a, b = antigen_stream(parse_kdd_lines([
+            make_line(protocol_type="udp"), make_line(protocol_type="tcp"),
+        ]))
         assert a != b
 
     def test_stream_order_preserved(self):
-        records = [make_record(service="http"), make_record(service="smtp")]
-        assert antigen_stream(records) == ["tcp:http:SF", "tcp:smtp:SF"]
+        table = parse_kdd_lines([make_line(service="http"),
+                                 make_line(service="smtp")])
+        assert antigen_stream(table) == ["tcp:http:SF", "tcp:smtp:SF"]
+
+    # The antigen multiplier is applied by the cell population, which deals
+    # ``multiplier`` copies of each record's antigen.
+    @staticmethod
+    def presented(k):
+        _, log = run_dca_with_log(["tcp:http:SF"], np.zeros((1, 3)),
+                                  DcaConfig(multiplier=k), seed=1)
+        return log
 
     def test_multiplier_identity(self):
-        assert multiply_antigen("tcp:http:SF", 1) == ["tcp:http:SF"]
+        log = self.presented(1)
+        assert log.total_count("tcp:http:SF") == 1
+        assert log.types() == ["tcp:http:SF"]
 
     @pytest.mark.parametrize("k", [5, 100])
     def test_multiplier_counts(self, k):
-        copies = multiply_antigen("tcp:http:SF", k)
-        assert len(copies) == k
-        assert set(copies) == {"tcp:http:SF"}
+        log = self.presented(k)
+        assert log.total_count("tcp:http:SF") == k
+        assert log.types() == ["tcp:http:SF"]
 
     def test_multiplier_rejects_zero(self):
         with pytest.raises(ConfigurationError):
-            multiply_antigen("tcp:http:SF", 0)
+            DcaConfig(multiplier=0)
