@@ -8,6 +8,7 @@ anomalous.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +31,48 @@ DEFAULT_DETECTOR_RADIUS = 0.1
 DEFAULT_DETECTOR_COUNT = 1000
 
 
+def _grid_size(count: int, dimension: int) -> int:
+    """Largest g with g**dimension <= count, in exact integer arithmetic."""
+    cells_per_axis = 1
+    while (cells_per_axis + 1) ** dimension <= count:
+        cells_per_axis += 1
+    return cells_per_axis
+
+
+def _cell_index(points: np.ndarray, cells_per_axis: int) -> np.ndarray:
+    """C-order index of the grid cell holding each point of [0,1]^d.
+
+    Points on the upper face of the cube belong to the last cell.
+    """
+    index = np.minimum((points * cells_per_axis).astype(np.intp),
+                       cells_per_axis - 1)
+    return np.ravel_multi_index(tuple(index.T),
+                                (cells_per_axis,) * points.shape[1])
+
+
+def _covered_cells(tree, count: int, dimension: int, censor_radius: float):
+    """Cells of a g^d grid over [0,1]^d whose every point lies strictly
+    within ``censor_radius`` of a self point.
+
+    g is the largest integer with g^d <= count, so the grid never holds more
+    cells than the detectors asked for. A cell is covered when a self point
+    lies closer to its centre than the censor radius less the cell's half
+    diagonal (triangle inequality) and less 1e-9, which absorbs float
+    rounding in the distances and in the cell index. Returns (g, bool array
+    over the cells in ``_cell_index`` order), or None when g < 2 or the half
+    diagonal leaves no margin.
+    """
+    cells_per_axis = _grid_size(count, dimension)
+    margin = (censor_radius - math.sqrt(dimension) / (2 * cells_per_axis)
+              - 1e-9)
+    if cells_per_axis < 2 or margin <= 0:
+        return None
+    centres = (np.indices((cells_per_axis,) * dimension)
+               .reshape(dimension, -1).T + 0.5) / cells_per_axis
+    distances, _ = tree.query(centres, k=1, distance_upper_bound=margin)
+    return cells_per_axis, distances < margin
+
+
 def generate_detectors(
     self_points: np.ndarray,
     count: int,
@@ -46,19 +89,32 @@ def generate_detectors(
     attempt budget (default 100 x count) runs out, returning fewer with a
     warning. Candidates are committed in draw order, so the result is
     deterministic per seed.
+
+    Candidates falling in a grid cell that the self set wholly covers (see
+    ``_covered_cells``; at most ``count`` cells, built once per call) are
+    rejected without a kd-tree query; only the rest are queried. That cell
+    test rejects only candidates the query would reject, so the detectors
+    are bit-identical to querying every candidate.
     """
     if count < 1:
         raise ConfigurationError(f"detector count must be >= 1, got {count}")
     if dimension < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
+    self_points = np.asarray(self_points, dtype=float)
+    if self_points.ndim != 2 or self_points.shape[1] != dimension:
+        raise ValueError(
+            f"self points must have shape (n, {dimension}), "
+            f"got {self_points.shape}"
+        )
     if max_attempts is None:
         max_attempts = 100 * count
     from scipy.spatial import cKDTree
 
     rng = np.random.default_rng(seed)
-    self_points = np.asarray(self_points, dtype=float).reshape(-1, dimension)
     tree = cKDTree(self_points) if len(self_points) else None
     censor_radius = self_radius + detector_radius
+    grid = (_covered_cells(tree, count, dimension, censor_radius)
+            if tree is not None else None)
 
     accepted = [np.empty((0, dimension))]
     found = 0
@@ -69,11 +125,19 @@ def generate_detectors(
         candidates = rng.random((size, dimension))
         attempts += size
         if tree is not None:
-            # Self points beyond the censor radius come back as inf, which
-            # passes the test below exactly as their true distance would.
-            distances, _ = tree.query(candidates, k=1,
-                                      distance_upper_bound=censor_radius)
-            candidates = candidates[distances >= censor_radius]
+            keep = np.ones(size, dtype=bool)
+            if grid is not None:
+                cells_per_axis, covered = grid
+                keep = ~covered[_cell_index(candidates, cells_per_axis)]
+            if keep.any():
+                # Self points beyond the censor radius come back as inf,
+                # which passes the test below exactly as their true distance
+                # would.
+                distances, _ = tree.query(candidates[keep], k=1,
+                                          distance_upper_bound=censor_radius)
+                # One mask over the whole batch keeps survivors in draw order.
+                keep[keep] = distances >= censor_radius
+            candidates = candidates[keep]
         accepted.append(candidates[:count - found])
         found += len(accepted[-1])
     if found < count:

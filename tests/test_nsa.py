@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings, strategies as st
 
 from dca_ids.dataset import ANOMALOUS, NORMAL, kfold_split
 from dca_ids.errors import ConfigurationError
+from dca_ids import nsa
 from dca_ids.nsa import (
     NsaParams,
     classify_points,
@@ -70,6 +74,12 @@ class TestGenerateDetectors:
         with pytest.raises(ConfigurationError):
             generate_detectors(np.empty((0, 2)), 0, 2, seed=1)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (6,), (0, 3)])
+    def test_rejects_self_points_of_another_width(self, shape):
+        # a (4, 3) array must not be read as six 2-d points
+        with pytest.raises(ValueError, match="shape"):
+            generate_detectors(np.zeros(shape), 10, 2, seed=1)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_no_detector_matches_any_self_point(self, seed):
@@ -80,6 +90,52 @@ class TestGenerateDetectors:
         for center in detectors:
             for point in self_points:
                 assert np.linalg.norm(center - point) >= 0.2
+
+
+class TestCoveredCells:
+    @pytest.mark.parametrize("dimension,count,censor", [
+        (2, 1000, 0.2), (2, 50, 0.3), (3, 1000, 0.2), (3, 1000, 0.45),
+    ])
+    def test_every_point_of_a_covered_cell_is_censored(
+        self, dimension, count, censor
+    ):
+        rng = np.random.default_rng(dimension * count)
+        self_points = rng.random((30, dimension))
+        tree = scipy.spatial.cKDTree(self_points)
+        cells_per_axis, covered = nsa._covered_cells(tree, count, dimension,
+                                                     censor)
+        assert 0 < covered.sum() < len(covered)
+        shape = (cells_per_axis,) * dimension
+        corners = np.array(list(itertools.product([0, 1], repeat=dimension)))
+        for cell in np.flatnonzero(covered):
+            low = np.array(np.unravel_index(cell, shape))
+            inside = np.concatenate([
+                low + corners, low + rng.random((20, dimension)),
+            ]) / cells_per_axis
+            nearest = np.array([
+                np.linalg.norm(self_points - point, axis=1).min()
+                for point in inside
+            ])
+            assert (nearest < censor).all(), cell
+
+    def test_covered_square_sends_no_candidate_to_the_tree(
+        self, monkeypatch
+    ):
+        queried = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        axis = np.linspace(0, 1, 21)
+        lattice = np.array(list(itertools.product(axis, axis)))
+        detectors = generate_detectors(lattice, 1000, 2, seed=1)
+        assert len(detectors) == 0
+        # one query for the 31 x 31 cell centres, none for the 100,000
+        # candidates of the default budget
+        assert queried == [31 * 31]
 
 
 class TestClassify:
