@@ -39,38 +39,31 @@ def _grid_size(count: int, dimension: int) -> int:
     return cells_per_axis
 
 
-def _cell_index(points: np.ndarray, cells_per_axis: int) -> np.ndarray:
-    """C-order index of the grid cell holding each point of [0,1]^d.
-
-    Points on the upper face of the cube belong to the last cell.
-    """
+def _cell_of(points: np.ndarray, cells_per_axis: int) -> tuple:
+    """Index tuple of the grid cell holding each point of [0,1]^d, for an
+    array of shape ``(cells_per_axis,) * d``. Points on the upper face of the
+    cube belong to the last cell."""
     index = np.minimum((points * cells_per_axis).astype(np.intp),
                        cells_per_axis - 1)
-    return np.ravel_multi_index(tuple(index.T),
-                                (cells_per_axis,) * points.shape[1])
+    return tuple(index.T)
 
 
-def _covered_cells(tree, count: int, dimension: int, censor_radius: float):
-    """Cells of a g^d grid over [0,1]^d whose every point lies strictly
-    within ``censor_radius`` of a self point.
+def _covered_cells(tree, cells_per_axis: int, dimension: int,
+                   margin: float) -> np.ndarray:
+    """Bool array of shape ``(cells_per_axis,) * dimension`` marking the
+    cells of a grid over [0,1]^d that have a self point closer than
+    ``margin`` to their centre: one tree query per cell.
 
-    g is the largest integer with g^d <= count, so the grid never holds more
-    cells than the detectors asked for. A cell is covered when a self point
-    lies closer to its centre than the censor radius less the cell's half
-    diagonal (triangle inequality) and less 1e-9, which absorbs float
-    rounding in the distances and in the cell index. Returns (g, bool array
-    over the cells in ``_cell_index`` order), or None when g < 2 or the half
-    diagonal leaves no margin.
+    With ``margin`` the censor radius less the cell's half diagonal (and
+    less 1e-9, which absorbs float rounding in the distances and in
+    ``_cell_of``), every point of a marked cell lies strictly within the
+    censor radius of that self point, by the triangle inequality.
     """
-    cells_per_axis = _grid_size(count, dimension)
-    margin = (censor_radius - math.sqrt(dimension) / (2 * cells_per_axis)
-              - 1e-9)
-    if cells_per_axis < 2 or margin <= 0:
-        return None
-    centres = (np.indices((cells_per_axis,) * dimension)
-               .reshape(dimension, -1).T + 0.5) / cells_per_axis
+    shape = (cells_per_axis,) * dimension
+    centres = ((np.indices(shape).reshape(dimension, -1).T + 0.5)
+               / cells_per_axis)
     distances, _ = tree.query(centres, k=1, distance_upper_bound=margin)
-    return cells_per_axis, distances < margin
+    return (distances < margin).reshape(shape)
 
 
 def generate_detectors(
@@ -90,11 +83,17 @@ def generate_detectors(
     warning. Candidates are committed in draw order, so the result is
     deterministic per seed.
 
-    Candidates falling in a grid cell that the self set wholly covers (see
-    ``_covered_cells``; at most ``count`` cells, built once per call) are
-    rejected without a kd-tree query; only the rest are queried. That cell
-    test rejects only candidates the query would reject, so the detectors
-    are bit-identical to querying every candidate.
+    Once the candidates rejected so far number at least g^d, where g is the
+    largest integer with g^d <= ``count``, the call splits [0,1]^d into g^d
+    cells and marks those the self set wholly covers (``_covered_cells``);
+    later candidates in a covered cell are rejected without a kd-tree query.
+    The grid costs one query per cell, so a call that builds it has already
+    spent at least as many queries on rejected candidates, and a call whose
+    self set rejects few candidates never builds it. It is skipped when the
+    self set is empty, g < 2 or the cell half diagonal is at least the
+    censor radius (d >= 4 at the defaults). The cell test rejects only
+    candidates the query would reject, so the detectors are bit-identical to
+    querying every candidate.
     """
     if count < 1:
         raise ConfigurationError(f"detector count must be >= 1, got {count}")
@@ -113,22 +112,29 @@ def generate_detectors(
     rng = np.random.default_rng(seed)
     tree = cKDTree(self_points) if len(self_points) else None
     censor_radius = self_radius + detector_radius
-    grid = (_covered_cells(tree, count, dimension, censor_radius)
-            if tree is not None else None)
+    cells_per_axis = _grid_size(count, dimension)
+    margin = (censor_radius - math.sqrt(dimension) / (2 * cells_per_axis)
+              - 1e-9)
+    # rejected candidates after which the covered-cell grid is built
+    build_grid_after = (cells_per_axis ** dimension
+                        if tree is not None and cells_per_axis >= 2
+                        and margin > 0 else math.inf)
+    covered = None
 
     accepted = [np.empty((0, dimension))]
     found = 0
     attempts = 0
     batch = 1024
     while found < count and attempts < max_attempts:
+        if covered is None and attempts - found >= build_grid_after:
+            covered = _covered_cells(tree, cells_per_axis, dimension, margin)
         size = min(batch, max_attempts - attempts)
         candidates = rng.random((size, dimension))
         attempts += size
         if tree is not None:
             keep = np.ones(size, dtype=bool)
-            if grid is not None:
-                cells_per_axis, covered = grid
-                keep = ~covered[_cell_index(candidates, cells_per_axis)]
+            if covered is not None:
+                keep = ~covered[_cell_of(candidates, cells_per_axis)]
             if keep.any():
                 # Self points beyond the censor radius come back as inf,
                 # which passes the test below exactly as their true distance

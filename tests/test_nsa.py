@@ -102,25 +102,25 @@ class TestCoveredCells:
         rng = np.random.default_rng(dimension * count)
         self_points = rng.random((30, dimension))
         tree = scipy.spatial.cKDTree(self_points)
-        cells_per_axis, covered = nsa._covered_cells(tree, count, dimension,
-                                                     censor)
-        assert 0 < covered.sum() < len(covered)
-        shape = (cells_per_axis,) * dimension
+        cells_per_axis = nsa._grid_size(count, dimension)
+        margin = censor - np.sqrt(dimension) / (2 * cells_per_axis) - 1e-9
+        covered = nsa._covered_cells(tree, cells_per_axis, dimension, margin)
+        assert covered.shape == (cells_per_axis,) * dimension
+        assert 0 < covered.sum() < covered.size
         corners = np.array(list(itertools.product([0, 1], repeat=dimension)))
-        for cell in np.flatnonzero(covered):
-            low = np.array(np.unravel_index(cell, shape))
+        for low in np.argwhere(covered):
             inside = np.concatenate([
                 low + corners, low + rng.random((20, dimension)),
             ]) / cells_per_axis
+            assert covered[nsa._cell_of(inside[-20:], cells_per_axis)].all()
             nearest = np.array([
                 np.linalg.norm(self_points - point, axis=1).min()
                 for point in inside
             ])
-            assert (nearest < censor).all(), cell
+            assert (nearest < censor).all(), low
 
-    def test_covered_square_sends_no_candidate_to_the_tree(
-        self, monkeypatch
-    ):
+    @staticmethod
+    def record_query_sizes(monkeypatch):
         queried = []
 
         class CountingTree(scipy.spatial.cKDTree):
@@ -129,13 +129,31 @@ class TestCoveredCells:
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        return queried
+
+    def test_covered_square_sends_no_candidate_to_the_tree_after_the_grid(
+        self, monkeypatch
+    ):
+        queried = self.record_query_sizes(monkeypatch)
         axis = np.linspace(0, 1, 21)
         lattice = np.array(list(itertools.product(axis, axis)))
         detectors = generate_detectors(lattice, 1000, 2, seed=1)
         assert len(detectors) == 0
-        # one query for the 31 x 31 cell centres, none for the 100,000
+        # the first batch of 1,024 candidates, all rejected, then one query
+        # for the 31 x 31 cell centres, and none for the other 98,976
         # candidates of the default budget
-        assert queried == [31 * 31]
+        assert queried == [1024, 31 * 31]
+
+    def test_self_set_rejecting_few_candidates_builds_no_grid(
+        self, monkeypatch
+    ):
+        # Self points packed near one corner reject about 3% of the square:
+        # fewer rejections than the 961 grid cells, so no centre query.
+        queried = self.record_query_sizes(monkeypatch)
+        corner = np.random.default_rng(0).random((500, 2)) * 0.01
+        detectors = generate_detectors(corner, 1000, 2, seed=1)
+        assert len(detectors) == 1000
+        assert queried == [1024, 1024]
 
 
 class TestClassify:

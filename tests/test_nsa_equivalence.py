@@ -15,10 +15,13 @@ from scipy.spatial import cKDTree
 import nsa_reference
 from dca_ids import nsa
 
-SIZES = [0, 1, 50, 800]
-KINDS = ["random", "cell-corner", "cell-centre"]
+# (size, kind) of the self sets; the empty set is the same in every kind
+SELF_SETS = [(0, "random")] + list(itertools.product(
+    [1, 50, 800], ["random", "cell-corner", "cell-centre"]))
 SEEDS = [1, 2, 3]
-SMALL_BUDGET = 300
+# Two batches: enough rejections in the first build the grid, which the
+# second then uses.
+SMALL_BUDGET = 1500
 
 
 def self_set(rng, size, dimension, cells_per_axis, kind):
@@ -38,6 +41,16 @@ def censor_radii(dimension, cells_per_axis):
     return [0.2, half_diagonal * (1 + 1e-6), half_diagonal * (1 - 1e-6), 0.45]
 
 
+def runs_default_budget(dimension, count, cells_per_axis, censor, seed):
+    """Whether a case runs at the default 100 x count budget as well as at
+    the small one: only where a grid can exist, and at count 1000, where
+    100,000 candidates per case are slow, for one seed and only where a self
+    set can cover enough of the cube to keep the grid in use."""
+    if cells_per_axis < 2:
+        return False
+    return count < 1000 or seed == 1 and (dimension <= 3 or censor == 0.45)
+
+
 @pytest.fixture(autouse=True)
 def quiet_budget_warnings():
     logging.disable(logging.WARNING)
@@ -47,22 +60,33 @@ def quiet_budget_warnings():
 
 @pytest.mark.parametrize("count", [1, 5, 50, 1000])
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5, 6])
-def test_matches_reference_generator(dimension, count):
+def test_matches_reference_generator(dimension, count, monkeypatch):
+    grids = []
+
+    def covered_cells(*args):
+        grids.append(args)
+        return covered_cells_before(*args)
+
+    covered_cells_before = nsa._covered_cells
+    monkeypatch.setattr(nsa, "_covered_cells", covered_cells)
     rng = np.random.default_rng(100 * dimension + count)
     cells_per_axis = nsa._grid_size(count, dimension)
-    for size, kind in itertools.product(SIZES, KINDS):
+    for size, kind in SELF_SETS:
         points = self_set(rng, size, dimension, cells_per_axis, kind)
         for censor, budget, seed in itertools.product(
             censor_radii(dimension, cells_per_axis), [None, SMALL_BUDGET],
             SEEDS,
         ):
-            if count == 1000 and budget is None and seed != 1:
-                continue  # a full 100,000-candidate budget per case is slow
+            if budget is None and not runs_default_budget(
+                    dimension, count, cells_per_axis, censor, seed):
+                continue
             args = (points, count, dimension, seed, budget,
                     censor / 2, censor / 2)
             expected = nsa_reference.generate_detectors(*args)
             assert np.array_equal(nsa.generate_detectors(*args), expected), (
                 size, kind, censor, budget, seed)
+    # the cases above must exercise the grid wherever it can exist
+    assert grids or cells_per_axis < 2
 
 
 @pytest.mark.parametrize("count", [1, 1000])
@@ -91,8 +115,9 @@ def test_candidate_exactly_at_the_censor_radius_is_kept(seed, count):
     assert np.array_equal(detectors, nsa_reference.generate_detectors(*args))
 
 
-def test_cell_index_puts_the_upper_face_in_the_last_cell():
+def test_cell_of_puts_the_upper_face_in_the_last_cell():
     # rng.random never draws 1.0, but [0,1]^d is closed: its upper face
     # belongs to the last cell on each axis.
     points = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.99]])
-    assert list(nsa._cell_index(points, 4)) == [12, 3, 15, 11]
+    cells = np.arange(16).reshape(4, 4)
+    assert list(cells[nsa._cell_of(points, 4)]) == [12, 3, 15, 11]
