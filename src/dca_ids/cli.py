@@ -143,7 +143,12 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             dca, multiplier=args.multiplier, window=args.window
         )
 
-    config = ExperimentConfig(
+    # Sweep options exist only on their own subcommands; the rest keep the
+    # config's defaults.
+    sweeps = {name: getattr(args, name) for name in (
+        "multipliers", "windows", "dimensions", "folds", "fold_seed",
+    ) if hasattr(args, name)}
+    return ExperimentConfig(
         experiment=experiment,
         data_path=args.data,
         output_dir=args.out,
@@ -152,16 +157,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         nsa=nsa,
         range_config_path=args.ranges,
         write_mcav_tables=not args.no_mcav_tables,
+        **sweeps,
     )
-    if args.command == "e1.2":
-        config.multipliers = tuple(args.multipliers)
-    if args.command == "e1.3":
-        config.windows = tuple(args.windows)
-    if args.command == "e2":
-        config.dimensions = tuple(args.dimensions)
-        config.folds = args.folds
-        config.fold_seed = args.fold_seed
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,47 +47,17 @@ def transform_signals(
     return float(out[0]), float(out[1]), float(out[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresentationLog:
-    """Per-antigen-type tallies of one run: type -> (total presentations,
-    mature presentations)."""
+    """Per-type tallies of one run, indexed by antigen type code: total and
+    mature presentations."""
 
-    counts: dict[str, tuple[int, int]]
-
-    def mature_count(self, antigen: str) -> int:
-        return self.counts.get(antigen, (0, 0))[1]
-
-    def total_count(self, antigen: str) -> int:
-        return self.counts.get(antigen, (0, 0))[0]
+    totals: np.ndarray
+    matures: np.ndarray
 
     @property
     def total_presentations(self) -> int:
-        return sum(total for total, _ in self.counts.values())
-
-    def types(self) -> list[str]:
-        return list(self.counts)
-
-
-def compute_mcav(log: PresentationLog) -> dict[str, float]:
-    """mature / total per presented type; never-presented types are absent."""
-    return {
-        antigen: log.mature_count(antigen) / log.total_count(antigen)
-        for antigen in log.types()
-    }
-
-
-def classify_types(
-    mcav: dict[str, float], threshold: float
-) -> dict[str, str]:
-    """Anomalous iff the MCAV strictly exceeds the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(
-            f"MCAV threshold must lie in [0,1], got {threshold}"
-        )
-    return {
-        antigen: (ANOMALOUS if value > threshold else NORMAL)
-        for antigen, value in mcav.items()
-    }
+        return int(self.totals.sum())
 
 
 @dataclass
@@ -120,30 +90,23 @@ class DcaConfig:
             raise ConfigurationError("mcav_threshold must lie in [0,1]")
 
 
-def run_dca(
-    antigens: Sequence[str],
-    signals: np.ndarray,
-    config: DcaConfig,
-    seed: int,
-) -> dict[str, float]:
-    """Per-type MCAV table of one run; see ``run_dca_with_log``."""
-    return run_dca_with_log(antigens, signals, config, seed)[0]
-
-
 def run_dca_with_log(
-    antigens: Sequence[str],
+    antigens: Sequence[int],
     signals: np.ndarray,
     config: DcaConfig,
     seed: int,
-) -> tuple[dict[str, float], PresentationLog]:
-    """Full pass over an antigen stream and its raw signal stream.
+) -> tuple[np.ndarray, PresentationLog]:
+    """Full pass over a stream of antigen type codes and its raw signal
+    stream.
 
     Applies the moving time window, then per record deals ``multiplier``
     copies of its antigen round-robin over ``cells_per_step`` randomly
     selected cells and adds the record's transformed signal to each of them.
     A selected cell whose cumulative csm strictly exceeds its threshold
     presents every copy it holds, mature iff semi <= mat, and is replaced by
-    a naive cell. Returns the MCAV table and the presentation log.
+    a naive cell. Returns the MCAV of each type code up to the largest in
+    the stream (mature / total presentations; NaN for a code absent from the
+    stream) and the presentation log.
 
     Random draw order, the contract that makes a run deterministic per seed:
     ``population_size`` initial thresholds, then per step
@@ -201,32 +164,35 @@ def run_dca_with_log(
     for i in range(size):
         mature[lifetime[i]] = semi[i] <= mat[i]
 
-    types, codes = np.unique(np.asarray(antigens, dtype=str),
-                             return_inverse=True)
+    codes = np.asarray(antigens, dtype=np.int64)
     copies = (k - np.arange(holders) + per_step - 1) // per_step
     mature_copies = np.asarray(mature)[holder_lifetimes] @ copies
-    totals = k * np.bincount(codes, minlength=len(types))
-    matures = np.bincount(codes, weights=mature_copies, minlength=len(types))
-    log = PresentationLog({
-        antigen: (int(total), int(count))
-        for antigen, total, count in zip(types.tolist(), totals, matures)
-    })
-    return compute_mcav(log), log
+    totals = k * np.bincount(codes)
+    matures = np.bincount(codes, weights=mature_copies,
+                          minlength=len(totals)).astype(np.int64)
+    mcav = np.divide(matures, totals, out=np.full(len(totals), np.nan),
+                     where=totals > 0)
+    return mcav, PresentationLog(totals, matures)
 
 
 def write_mcav_table(
-    mcav: dict[str, float],
+    mcav: np.ndarray,
     log: PresentationLog,
     threshold: float,
     path: str | Path,
+    names: Sequence[str],
 ) -> None:
-    """Delimited export: antigen-type, total, mature, mcav, classification."""
-    labels = classify_types(mcav, threshold)
+    """Delimited export of the presented types, sorted by name
+    (``names[code]``): antigen-type, total, mature, mcav and classification,
+    anomalous iff the MCAV strictly exceeds ``threshold``."""
+    totals = log.totals.tolist()
+    matures = log.matures.tolist()
+    rows = sorted((names[code], code) for code, total in enumerate(totals)
+                  if total)
     with open(path, "w") as handle:
         handle.write("antigen_type\ttotal_count\tmature_count\tmcav\tclass\n")
-        for antigen in sorted(mcav):
-            handle.write(
-                f"{antigen}\t{log.total_count(antigen)}\t"
-                f"{log.mature_count(antigen)}\t{mcav[antigen]:.6f}\t"
-                f"{labels[antigen]}\n"
-            )
+        for name, code in rows:
+            value = float(mcav[code])
+            label = ANOMALOUS if value > threshold else NORMAL
+            handle.write(f"{name}\t{totals[code]}\t{matures[code]}\t"
+                         f"{value:.6f}\t{label}\n")

@@ -1,4 +1,4 @@
-"""Ground truth, confusion/ROC rates, run averaging and the Mann-Whitney test.
+"""Confusion/ROC rates, run averaging and the Mann-Whitney test.
 
 Rates with no defining instances (e.g. a TP rate when the truth contains no
 positives) are reported as NaN markers and propagate as NaN through
@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ANOMALOUS
 from .errors import ConfigurationError
 
 
@@ -41,27 +40,7 @@ class MannWhitneyResult:
     reject: bool
 
 
-def perfect_mcav(
-    antigens: Sequence[str], labels: Sequence[str]
-) -> dict[str, float]:
-    """Label-derived ground-truth MCAV: per type, the fraction of its
-    instances labeled anomalous."""
-    totals: dict[str, list[int]] = {}
-    for antigen, label in zip(antigens, labels):
-        entry = totals.setdefault(antigen, [0, 0])
-        entry[0] += 1 if label == ANOMALOUS else 0
-        entry[1] += 1
-    return {antigen: anom / total for antigen, (anom, total) in totals.items()}
-
-
-def type_instance_counts(antigens: Sequence[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for antigen in antigens:
-        counts[antigen] = counts.get(antigen, 0) + 1
-    return counts
-
-
-def _rates_from_cells(tp: float, tn: float, fp: float, fn: float) -> ConfusionRates:
+def _rates_from_cells(tp: int, tn: int, fp: int, fn: int) -> ConfusionRates:
     tp_rate = tp / (tp + fn) if tp + fn > 0 else math.nan
     fn_rate = fn / (tp + fn) if tp + fn > 0 else math.nan
     tn_rate = tn / (tn + fp) if tn + fp > 0 else math.nan
@@ -69,50 +48,21 @@ def _rates_from_cells(tp: float, tn: float, fp: float, fn: float) -> ConfusionRa
     return ConfusionRates(tp_rate, tn_rate, fp_rate, fn_rate)
 
 
-def confusion_from_types(
-    predicted: dict[str, str],
-    truth: dict[str, str],
-    weights: dict[str, int],
-    per_type: bool = False,
-) -> ConfusionRates:
-    """Confusion rates over antigen types.
-
-    Each type contributes its instance count (or one vote with
-    ``per_type=True``) to exactly one confusion cell.
-    """
-    if set(predicted) != set(truth):
-        raise ConfigurationError(
-            "predicted and truth tables must cover the same antigen types"
-        )
-    tp = tn = fp = fn = 0
-    for antigen, truth_label in truth.items():
-        weight = 1 if per_type else weights[antigen]
-        anomalous_predicted = predicted[antigen] == ANOMALOUS
-        if truth_label == ANOMALOUS:
-            if anomalous_predicted:
-                tp += weight
-            else:
-                fn += weight
-        else:
-            if anomalous_predicted:
-                fp += weight
-            else:
-                tn += weight
-    return _rates_from_cells(tp, tn, fp, fn)
-
-
 def confusion_from_instances(
-    predicted: Sequence[str], truth: Sequence[str]
+    predicted: Sequence[bool],
+    actual: Sequence[bool],
+    weights: Sequence[int] | None = None,
 ) -> ConfusionRates:
-    """Instance-level confusion rates (anomalous = positive)."""
-    if len(predicted) != len(truth):
+    """Confusion rates of bool predictions against bool truth, True meaning
+    anomalous (the positive class). With ``weights``, entry i stands for
+    ``weights[i]`` instances, as an antigen type stands for its records."""
+    predicted = np.asarray(predicted, dtype=bool)
+    actual = np.asarray(actual, dtype=bool)
+    if predicted.shape != actual.shape or (
+            weights is not None and np.shape(weights) != actual.shape):
         raise ConfigurationError("prediction/truth length mismatch")
-    flagged = np.asarray(predicted, dtype=str) == ANOMALOUS
-    positive = np.asarray(truth, dtype=str) == ANOMALOUS
-    tp = int(np.count_nonzero(flagged & positive))
-    fn = int(np.count_nonzero(~flagged & positive))
-    fp = int(np.count_nonzero(flagged & ~positive))
-    tn = int(np.count_nonzero(~flagged & ~positive))
+    cells = np.bincount(2 * actual + predicted, weights, minlength=4)
+    tn, fp, fn, tp = (int(count) for count in cells)
     return _rates_from_cells(tp, tn, fp, fn)
 
 
@@ -179,23 +129,20 @@ def _exact_u_distribution(n: int, m: int) -> list[int]:
 
 def mann_whitney_two_sided(
     x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
-    method: str = "auto",
 ) -> MannWhitneyResult:
     """Two-sided Mann-Whitney rank test.
 
     An empty sample is a configuration error. NaN values (rates with no
     defining instances) are dropped from each sample before ranking; if
     either sample is left empty, U and p are NaN and the test does not
-    reject. Ties receive midranks. With ``method="auto"`` the p value is
-    exact (full enumeration of the U distribution) when the smaller sample
-    has at most 10 elements and the pooled data is tie-free; otherwise the
-    normal approximation with tie and continuity corrections is used.
+    reject. Ties receive midranks. The p value is exact (full enumeration
+    of the U distribution) when the smaller sample has at most 10 elements
+    and the pooled data is tie-free; otherwise the normal approximation with
+    tie and continuity corrections is used.
     Rejects iff p < alpha.
     """
     if len(x) == 0 or len(y) == 0:
         raise ConfigurationError("both samples must be non-empty")
-    if method not in ("auto", "exact", "approx"):
-        raise ConfigurationError(f"unknown method {method!r}")
     x = [v for v in x if not math.isnan(v)]
     y = [v for v in y if not math.isnan(v)]
     if not x or not y:
@@ -208,14 +155,7 @@ def mann_whitney_two_sided(
     u_x = rank_sum_x - n_x * (n_x + 1) / 2
     u_y = n_x * n_y - u_x
 
-    has_ties = len(set(pooled)) != len(pooled)
-    use_exact = (
-        method == "exact"
-        or (method == "auto" and not has_ties and min(n_x, n_y) <= 10)
-    )
-    if use_exact:
-        if has_ties:
-            raise ConfigurationError("exact p values require tie-free samples")
+    if len(set(pooled)) == len(pooled) and min(n_x, n_y) <= 10:
         distribution = _exact_u_distribution(n_x, n_y)
         total = sum(distribution)
         u_min = int(round(min(u_x, u_y)))

@@ -20,35 +20,23 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .dataset import (
-    ANOMALOUS,
-    NORMAL,
-    KddTable,
-    kfold_split,
-    read_kdd_file,
-)
-from .dca import (
-    DcaConfig,
-    classify_types,
-    run_dca_with_log,
-    write_mcav_table,
-)
+from .dataset import KddTable, kfold_split, read_kdd_file
+from .dca import DcaConfig, run_dca_with_log, write_mcav_table
 from .errors import ConfigurationError, ReportError
 from .evaluation import (
     ConfusionRates,
     MannWhitneyResult,
     RunResult,
     average_runs,
-    confusion_from_types,
+    confusion_from_instances,
     mann_whitney_two_sided,
-    perfect_mcav,
-    type_instance_counts,
 )
 from .nsa import NsaParams, run_nsa
 from .signals import (
     DEFAULT_SIGNAL_ATTRIBUTES,
     SignalConfig,
     antigen_stream,
+    antigen_type_names,
     attribute_gains,
     default_signal_config,
     load_signal_config,
@@ -93,18 +81,24 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {EXPERIMENT_IDS}"
             )
-        if not self.seeds:
-            raise ConfigurationError("seed list must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError(
-                f"seed list repeats a seed: {list(self.seeds)}"
-            )
+        for name in ("seeds", "multipliers", "windows", "dimensions"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigurationError(f"{name[:-1]} list must be non-empty")
+            if len(set(values)) != len(values):
+                raise ConfigurationError(
+                    f"{name[:-1]} list repeats a {name[:-1]}: {list(values)}"
+                )
+        if any(s < 0 for s in self.seeds) or self.fold_seed < 0:
+            raise ConfigurationError("seeds must be >= 0")
         if any(k < 1 for k in self.multipliers):
             raise ConfigurationError("multipliers must be >= 1")
         if any(w < 1 for w in self.windows):
             raise ConfigurationError("window sizes must be >= 1")
         if any(d < 1 for d in self.dimensions):
             raise ConfigurationError("dimensions must be >= 1")
+        if self.folds < 2:
+            raise ConfigurationError(f"folds must be >= 2, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +112,27 @@ class SweepPoint:
     mann_whitney: MannWhitneyResult | None = None
 
 
+@dataclass(frozen=True)
+class AntigenTypes:
+    """The antigen stream of an E1 run: a type code per record and, per type
+    code, its record count, the share of its records labelled anomalous (the
+    perfect MCAV: the type is anomalous by truth iff this exceeds the MCAV
+    threshold) and its name for the MCAV tables."""
+
+    codes: np.ndarray
+    counts: np.ndarray
+    anomalous_share: np.ndarray
+    names: list[str]
+
+    @classmethod
+    def of(cls, table: KddTable) -> AntigenTypes:
+        codes = antigen_stream(table)
+        counts = np.bincount(codes)
+        return cls(codes, counts,
+                   np.bincount(codes, weights=table.anomalous) / counts,
+                   antigen_type_names(table))
+
+
 def _signal_config(config: ExperimentConfig,
                    table: KddTable) -> SignalConfig:
     if config.range_config_path is not None:
@@ -129,25 +144,25 @@ def _dca_sweep_point(
     category: str,
     parameter: str,
     dca: DcaConfig,
-    antigens: list[str],
+    stream: AntigenTypes,
     signals: np.ndarray,
-    truth: dict[str, str],
-    weights: dict[str, int],
     config: ExperimentConfig,
     mcav_dir: Path | None,
 ) -> SweepPoint:
     per_seed = []
     for seed in config.seeds:
-        mcav, log = run_dca_with_log(antigens, signals, dca, seed)
-        predicted = classify_types(mcav, dca.mcav_threshold)
-        truth_presented = {antigen: truth[antigen] for antigen in predicted}
-        rates = confusion_from_types(predicted, truth_presented, weights)
+        mcav, log = run_dca_with_log(stream.codes, signals, dca, seed)
+        rates = confusion_from_instances(
+            mcav > dca.mcav_threshold,
+            stream.anomalous_share > dca.mcav_threshold, stream.counts,
+        )
         per_seed.append(RunResult(f"{category}:{parameter}", seed, rates))
         if mcav_dir is not None:
             safe_param = parameter.replace("=", "_")
             write_mcav_table(
                 mcav, log, dca.mcav_threshold,
                 mcav_dir / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
+                stream.names,
             )
         logger.info("%s %s seed=%d tp=%.4f fp=%s", category, parameter, seed,
                     rates.tp_rate, _fmt(rates.fp_rate))
@@ -188,16 +203,12 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
 def _run_e1(config: ExperimentConfig, table: KddTable,
             mcav_dir: Path | None) -> list[SweepPoint]:
     ranges = _signal_config(config, table)
-    antigens = antigen_stream(table)
+    stream = AntigenTypes.of(table)
     signals = signal_stream(table, ranges)
-    labels = np.where(table.anomalous, ANOMALOUS, NORMAL).tolist()
-    truth = classify_types(perfect_mcav(antigens, labels),
-                           config.dca.mcav_threshold)
-    weights = type_instance_counts(antigens)
 
     base_dca = dataclasses.replace(config.dca, multiplier=1, window=1)
-    base = _dca_sweep_point("E1.1", "-", base_dca, antigens, signals,
-                            truth, weights, config, mcav_dir)
+    base = _dca_sweep_point("E1.1", "-", base_dca, stream, signals, config,
+                            mcav_dir)
     points = [base]
 
     if config.experiment == "E1.1":
@@ -205,20 +216,20 @@ def _run_e1(config: ExperimentConfig, table: KddTable,
     if config.experiment == "E1.2":
         for k in config.multipliers:
             dca = dataclasses.replace(config.dca, multiplier=k, window=1)
-            point = _dca_sweep_point("E1.2", str(k), dca, antigens, signals,
-                                     truth, weights, config, mcav_dir)
+            point = _dca_sweep_point("E1.2", str(k), dca, stream, signals,
+                                     config, mcav_dir)
             points.append(_with_mann_whitney(point, base, config.alpha))
     elif config.experiment == "E1.3":
         for w in config.windows:
             dca = dataclasses.replace(config.dca, multiplier=1, window=w)
-            point = _dca_sweep_point("E1.3", str(w), dca, antigens, signals,
-                                     truth, weights, config, mcav_dir)
+            point = _dca_sweep_point("E1.3", str(w), dca, stream, signals,
+                                     config, mcav_dir)
             points.append(_with_mann_whitney(point, base, config.alpha))
     else:  # custom: run the configuration exactly as given
         point = _dca_sweep_point(
             "custom",
             f"k={config.dca.multiplier},w={config.dca.window}",
-            config.dca, antigens, signals, truth, weights, config, mcav_dir,
+            config.dca, stream, signals, config, mcav_dir,
         )
         points = [base, _with_mann_whitney(point, base, config.alpha)]
     return points

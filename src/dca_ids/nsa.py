@@ -15,8 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    ANOMALOUS,
-    NORMAL,
     KddTable,
     attribute_matrix,
     minmax_fit,
@@ -158,11 +156,12 @@ def classify_points(
     points: np.ndarray,
     detectors: np.ndarray,
     detector_radius: float = DEFAULT_DETECTOR_RADIUS,
-) -> list[str]:
-    """Anomalous iff a point strictly matches at least one detector."""
+) -> np.ndarray:
+    """Bool mask over the points, True (anomalous) iff a point strictly
+    matches at least one detector."""
     points = np.asarray(points, dtype=float)
     if len(detectors) == 0:
-        return [NORMAL] * len(points)
+        return np.zeros(len(points), dtype=bool)
     if points.shape[1] != detectors.shape[1]:
         raise ValueError(
             f"dimension mismatch: points {points.shape[1]}d, "
@@ -174,7 +173,7 @@ def classify_points(
     distances, _ = cKDTree(detectors).query(
         points, k=1, distance_upper_bound=detector_radius
     )
-    return [ANOMALOUS if d < detector_radius else NORMAL for d in distances]
+    return distances < detector_radius
 
 
 @dataclass
@@ -195,7 +194,7 @@ def run_nsa_fold(
     """One cross-validation fold: fit bounds on training data, censor
     detectors against the normalized training instances marked in
     ``train_normal``, classify the normalized test instances. Returns
-    (predicted labels, detectors)."""
+    (anomalous mask over the test instances, detectors)."""
     lo, hi = minmax_fit(train_matrix)
     train_norm = minmax_apply(train_matrix, lo, hi)
     test_norm = minmax_apply(test_matrix, lo, hi)
@@ -243,8 +242,8 @@ def run_nsa(
             matrix[train_mask], normal[train_mask], matrix[test_mask],
             params, seed,
         )
-        truth = np.where(normal[test_mask], NORMAL, ANOMALOUS)
-        per_fold.append(confusion_from_instances(predictions, truth))
+        per_fold.append(
+            confusion_from_instances(predictions, ~normal[test_mask]))
     if not per_fold:
         raise ConfigurationError("every fold was skipped; no results")
     return per_fold, average_rates(per_fold)

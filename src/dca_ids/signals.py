@@ -2,7 +2,7 @@
 
 Turns a parsed connection table into the two input streams the cell
 population consumes: per-record (PAMP, danger, safe) triples scored in
-[0, 100], and antigen type identifiers built from the protocol/service/flag
+[0, 100], and integer antigen type codes for the protocol/service/flag
 nominals. Also hosts the entropy / information-gain attribute ranking and the
 moving-time-window smoothing.
 """
@@ -21,7 +21,6 @@ from .dataset import (
     CODED_ATTRIBUTES,
     CONTINUOUS_ATTRIBUTES,
     NOMINAL_ATTRIBUTES,
-    NORMAL,
     KddTable,
     attribute_matrix,
 )
@@ -227,17 +226,19 @@ def _gain(keys: np.ndarray, normal: np.ndarray) -> float:
     return max(gain, 0.0)
 
 
-def info_gain(values: Sequence, labels: Sequence[str], bins: int = 10) -> float:
-    """Entropy reduction of the binary label distribution from conditioning
-    on an attribute. Numeric values are first discretized into ``bins``
-    equal-width bins over their observed range; other values are categories."""
-    if len(values) == 0 or len(values) != len(labels):
+def info_gain(values: Sequence, anomalous: Sequence[bool],
+              bins: int = 10) -> float:
+    """Entropy reduction of the binary label distribution (``anomalous``, a
+    bool per value) from conditioning on an attribute. Numeric values are
+    first discretized into ``bins`` equal-width bins over their observed
+    range; other values are categories."""
+    if len(values) == 0 or len(values) != len(anomalous):
         raise ValueError("need equally sized, non-empty values and labels")
     if all(isinstance(v, (int, float)) for v in values):
         keys = _binned(np.asarray(values, dtype=float), bins)
     else:
         keys = np.asarray(values, dtype=str)
-    return _gain(keys, np.asarray(labels, dtype=str) == NORMAL)
+    return _gain(keys, ~np.asarray(anomalous, dtype=bool))
 
 
 def attribute_gains(table: KddTable,
@@ -317,14 +318,31 @@ def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
 # Antigens
 # ---------------------------------------------------------------------------
 
-def antigen_stream(table: KddTable) -> list[str]:
-    """Per-record antigen identifier: the protocol, service and flag values
-    joined with ':'."""
+def _antigen_keys(table: KddTable) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One integer per record for its (protocol, service, flag) codes, and
+    the vocabulary sizes that decode it."""
+    sizes = tuple(max(len(table.vocabularies[name]), 1)
+                  for name in CODED_ATTRIBUTES)
     codes = attribute_matrix(table, CODED_ATTRIBUTES).astype(np.int64)
-    triples, inverse = np.unique(codes, axis=0, return_inverse=True)
-    names = [
+    return np.ravel_multi_index(codes.T, sizes), sizes
+
+
+def antigen_stream(table: KddTable) -> np.ndarray:
+    """Per-record antigen type code: the rank of the record's (protocol,
+    service, flag) triple among the table's distinct triples, so the codes
+    run from 0 to the number of types less one. ``antigen_type_names``
+    names them."""
+    keys, _ = _antigen_keys(table)
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def antigen_type_names(table: KddTable) -> list[str]:
+    """Name of each code of ``antigen_stream(table)``: the protocol, service
+    and flag values joined with ':'."""
+    keys, sizes = _antigen_keys(table)
+    triples = np.unravel_index(np.unique(keys), sizes)
+    return [
         ":".join(table.vocabularies[name][code]
                  for name, code in zip(CODED_ATTRIBUTES, triple))
-        for triple in triples.tolist()
+        for triple in zip(*(axis.tolist() for axis in triples))
     ]
-    return [names[i] for i in inverse.tolist()]

@@ -179,6 +179,32 @@ class TestErrorPaths:
                      "--multipliers", "0"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv,message", [
+        (["e2", "--dimensions", ","], "dimension list must be non-empty"),
+        (["e1.2", "--multipliers", ","], "multiplier list must be non-empty"),
+        (["e1.3", "--windows", ","], "window list must be non-empty"),
+        (["e2", "--dimensions", "2,2"], "dimension list repeats"),
+        (["e1.2", "--multipliers", "5,5"], "multiplier list repeats"),
+        (["e1.3", "--windows", "3,3"], "window list repeats"),
+        (["e1.2", "--multipliers", "0"], "multipliers must be >= 1"),
+        (["e2", "--folds", "1"], "folds must be >= 2"),
+        (["e2", "--fold-seed", "-1"], "seeds must be >= 0"),
+        (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
+    ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
+            "repeated-dimension", "repeated-multiplier", "repeated-window",
+            "zero-multiplier", "one-fold", "negative-fold-seed",
+            "negative-seed"])
+    def test_sweep_options_checked_before_the_data_file(self, tmp_path,
+                                                        capsys, argv,
+                                                        message):
+        # the data file does not exist: exit 2 shows the option was
+        # rejected before any attempt to read it
+        command, *options = argv
+        code = main([command, str(tmp_path / "absent.kdd"),
+                     "--out", str(tmp_path / "out"), *options])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_bad_range_file(self, synthetic_dataset, tmp_path):
         ranges = tmp_path / "ranges.conf"
         ranges.write_text("count DS 10 5 +\n")
@@ -237,6 +263,30 @@ class TestImport:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+
+    def test_dca_runs_and_infogain_leave_scipy_unloaded(
+        self, synthetic_dataset, tmp_path
+    ):
+        # The hand-written Mann-Whitney test exists because importing
+        # scipy.stats costs more than a whole small E1 sweep; a full E1.2
+        # run and an info-gain report must not load any of scipy.
+        src = Path(dca_ids.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = (
+            "import sys; from dca_ids.cli import main; "
+            f"assert main(['e1.2', {str(synthetic_dataset)!r}, '--out', "
+            f"{str(tmp_path / 'e12')!r}, '--seeds', '1,2', "
+            "'--multipliers', '5,10']) == 0; "
+            f"assert main(['infogain', {str(synthetic_dataset)!r}, '--out', "
+            f"{str(tmp_path / 'gains.tsv')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+        assert (tmp_path / "e12" / "mannwhitney.tsv").exists()
 
 
 class TestReports:

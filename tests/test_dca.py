@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,6 @@ from dca_ids.dataset import ANOMALOUS, NORMAL
 from dca_ids.dca import (
     DcaConfig,
     PresentationLog,
-    classify_types,
-    compute_mcav,
-    run_dca,
     run_dca_with_log,
     transform_signals,
     write_mcav_table,
@@ -48,10 +47,14 @@ def one_cell(threshold, **overrides):
 
 
 def run_steps(steps, config, seed=0):
-    """Run a stream given as (antigen, signal triple) pairs."""
-    antigens = [antigen for antigen, _ in steps]
+    """Run a stream given as (antigen name, signal triple) pairs. Returns the
+    MCAV and the (total, mature) presentations of each type, by name."""
+    names = sorted({antigen for antigen, _ in steps})
+    codes = [names.index(antigen) for antigen, _ in steps]
     signals = np.array([triple for _, triple in steps], dtype=float)
-    return run_dca_with_log(antigens, signals.reshape(-1, 3), config, seed)
+    mcav, log = run_dca_with_log(codes, signals.reshape(-1, 3), config, seed)
+    tallies = zip(log.totals.tolist(), log.matures.tolist())
+    return dict(zip(names, mcav.tolist())), dict(zip(names, tallies))
 
 
 class TestCell:
@@ -74,9 +77,9 @@ class TestCell:
         assert padded_mcav == {**mcav, "z": 0.0}
 
     def test_antigen_store_grows(self):
-        _, log = run_steps([("a", ZERO), ("b", ZERO)],
-                           one_cell(1000, multiplier=3))
-        assert (log.total_count("a"), log.total_count("b")) == (3, 3)
+        _, tallies = run_steps([("a", ZERO), ("b", ZERO)],
+                               one_cell(1000, multiplier=3))
+        assert (tallies["a"][0], tallies["b"][0]) == (3, 3)
 
     def test_migration_strict(self):
         # csm 200 after the first step: a threshold of exactly 200 keeps the
@@ -100,23 +103,38 @@ class TestCell:
 
 class TestMcav:
     def test_ratio(self):
-        log = PresentationLog({"a": (4, 3)})
-        assert compute_mcav(log) == {"a": 0.75}
+        # three PAMP steps migrate the cell mature, the safe one semi-mature
+        mcav, tallies = run_steps([("a", ALL_PAMP)] * 3 + [("a", ALL_SAFE)],
+                                  one_cell(150))
+        assert tallies == {"a": (4, 3)}
+        assert mcav == {"a": 0.75}
 
     def test_extremes(self):
-        log = PresentationLog({"zero": (4, 0), "one": (4, 4)})
-        assert compute_mcav(log) == {"zero": 0.0, "one": 1.0}
+        mcav, _ = run_steps([("one", ALL_PAMP)] * 4 + [("zero", ALL_SAFE)] * 4,
+                            one_cell(150))
+        assert mcav == {"zero": 0.0, "one": 1.0}
 
     def test_unpresented_type_absent(self):
-        assert compute_mcav(PresentationLog({})) == {}
+        # code 1 never occurs: no presentations, NaN MCAV, no table row
+        mcav, log = run_dca_with_log([0, 2], np.zeros((2, 3)), one_cell(1000),
+                                     seed=1)
+        assert log.totals.tolist() == [1, 0, 1]
+        assert math.isnan(mcav[1])
+        assert len(run_dca_with_log([], np.empty((0, 3)), one_cell(1000),
+                                    seed=1)[0]) == 0
 
-    def test_classification_strict(self):
-        labels = classify_types({"a": 0.85, "b": 0.8, "c": 0.0}, 0.8)
-        assert labels == {"a": ANOMALOUS, "b": NORMAL, "c": NORMAL}
+    def test_classification_strict(self, tmp_path):
+        log = PresentationLog(np.array([20, 10, 4]), np.array([17, 8, 0]))
+        path = tmp_path / "mcav.tsv"
+        write_mcav_table(np.array([0.85, 0.8, 0.0]), log, 0.8, path,
+                         ["a", "b", "c"])
+        labels = [line.split("\t")[-1]
+                  for line in path.read_text().splitlines()[1:]]
+        assert labels == [ANOMALOUS, NORMAL, NORMAL]
 
     def test_bad_threshold(self):
         with pytest.raises(ConfigurationError):
-            classify_types({}, 1.5)
+            DcaConfig(mcav_threshold=1.5)
 
 
 class TestTissueStep:
@@ -126,18 +144,19 @@ class TestTissueStep:
         # every cell samples every step; the final safe step migrates them
         # all semi-mature, so any copy presented mature would show in "a"
         config = small_config(population_size=5, cells_per_step=5)
-        mcav, log = run_steps([("a", ZERO)] * 50 + [("b", ALL_SAFE)], config)
+        mcav, tallies = run_steps([("a", ZERO)] * 50 + [("b", ALL_SAFE)],
+                                  config)
         assert mcav == {"a": 0.0, "b": 0.0}
-        assert log.total_count("a") == 50
+        assert tallies["a"][0] == 50
 
     def test_migrating_cell_logs_all_its_antigens(self):
         # csm 200 then 400 > 250: migrates mature on the second step, carrying
         # both copies; its naive replacement holds only "c"
-        mcav, log = run_steps(
+        mcav, tallies = run_steps(
             [("a", ALL_PAMP), ("b", ALL_PAMP), ("c", ALL_SAFE)], one_cell(250)
         )
         assert mcav == {"a": 1.0, "b": 1.0, "c": 0.0}
-        assert log.counts == {"a": (1, 1), "b": (1, 1), "c": (1, 0)}
+        assert tallies == {"a": (1, 1), "b": (1, 1), "c": (1, 0)}
 
     def test_deterministic(self):
         signal_rng = np.random.default_rng(99)
@@ -150,27 +169,29 @@ class TestTissueStep:
         # no cell ever migrates: the flush still presents every copy once
         config = small_config(threshold_low=1e9, threshold_high=1e9,
                               multiplier=7)
-        _, log = run_steps([("a", ALL_PAMP)] * 20, config)
-        assert log.total_presentations == 7 * 20
+        _, tallies = run_steps([("a", ALL_PAMP)] * 20, config)
+        assert tallies["a"][0] == 7 * 20
+
+
+def run_dca(antigens, signals, config, seed):
+    return run_dca_with_log(antigens, signals, config, seed)[0]
 
 
 class TestRunDca:
     def antigens(self, n=200):
-        return [f"type{i % 4}" for i in range(n)]
+        return [i % 4 for i in range(n)]
 
     def test_all_pamp_stream_gives_mcav_one(self):
         antigens = self.antigens()
         signals = np.tile(ALL_PAMP, (len(antigens), 1))
         mcav = run_dca(antigens, signals, small_config(), seed=1)
-        assert mcav
-        assert all(v == 1.0 for v in mcav.values())
+        assert mcav.tolist() == [1.0] * 4
 
     def test_all_safe_stream_gives_mcav_zero(self):
         antigens = self.antigens()
         signals = np.tile(ALL_SAFE, (len(antigens), 1))
         mcav = run_dca(antigens, signals, small_config(), seed=1)
-        assert mcav
-        assert all(v == 0.0 for v in mcav.values())
+        assert mcav.tolist() == [0.0] * 4
 
     def test_identity_transforms_match_base(self):
         antigens = self.antigens()
@@ -179,7 +200,7 @@ class TestRunDca:
         base = run_dca(antigens, signals, small_config(), seed=3)
         k1w1 = run_dca(antigens, signals,
                        small_config(multiplier=1, window=1), seed=3)
-        assert base == k1w1
+        assert np.array_equal(base, k1w1)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_antigen_conservation(self, k):
@@ -196,35 +217,35 @@ class TestRunDca:
         rng = np.random.default_rng(11)
         signals = rng.random((len(antigens), 3)) * 100
         mcav = run_dca(antigens, signals, small_config(), seed=5)
-        assert all(0.0 <= v <= 1.0 for v in mcav.values())
+        assert ((0.0 <= mcav) & (mcav <= 1.0)).all()
 
     def test_run_repeatable(self):
         antigens = self.antigens()
         rng = np.random.default_rng(13)
         signals = rng.random((len(antigens), 3)) * 100
         config = small_config(multiplier=2, window=3)
-        assert run_dca(antigens, signals, config, seed=8) == run_dca(
-            antigens, signals, config, seed=8
-        )
+        assert np.array_equal(run_dca(antigens, signals, config, seed=8),
+                              run_dca(antigens, signals, config, seed=8))
 
     def test_empty_stream(self):
-        assert run_dca([], np.empty((0, 3)), small_config(), seed=1) == {}
+        assert len(run_dca([], np.empty((0, 3)), small_config(), seed=1)) == 0
 
     def test_misaligned_streams_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_dca(["a"], np.zeros((2, 3)), small_config(), seed=1)
+            run_dca([0], np.zeros((2, 3)), small_config(), seed=1)
 
     def test_mcav_table_export(self, tmp_path):
         antigens = self.antigens()
         signals = np.tile(ALL_PAMP, (len(antigens), 1))
         mcav, log = run_dca_with_log(antigens, signals, small_config(), seed=1)
         path = tmp_path / "mcav.tsv"
-        write_mcav_table(mcav, log, 0.8, path)
+        write_mcav_table(mcav, log, 0.8, path, ["d", "c", "b", "a"])
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == [
             "antigen_type", "total_count", "mature_count", "mcav", "class"
         ]
-        assert all(line.endswith(ANOMALOUS) for line in lines[1:])
+        assert lines[1:] == [f"{name}\t50\t50\t1.000000\t{ANOMALOUS}"
+                             for name in "abcd"]
 
 
 class TestConfigValidation:

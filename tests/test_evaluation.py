@@ -4,19 +4,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dca_ids.dataset import ANOMALOUS, NORMAL
+from dca_ids.dataset import parse_kdd_lines
 from dca_ids.errors import ConfigurationError
 from dca_ids.evaluation import (
     ConfusionRates,
     RunResult,
+    _exact_u_distribution,
     average_rates,
     average_runs,
     confusion_from_instances,
-    confusion_from_types,
     mann_whitney_two_sided,
-    perfect_mcav,
-    type_instance_counts,
 )
+from dca_ids.experiments import AntigenTypes
+
+from conftest import make_line
 
 
 def brute_mann_whitney_p(x, y):
@@ -41,67 +42,77 @@ def brute_mann_whitney_p(x, y):
     return min(1.0, 2.0 * tail / total)
 
 
+def antigen_types(services, anomalous):
+    """``AntigenTypes`` of one record per (service, anomalous) pair."""
+    return AntigenTypes.of(parse_kdd_lines([
+        make_line(label="smurf." if flag else "normal.", service=service)
+        for service, flag in zip(services, anomalous)
+    ]))
+
+
+def by_name(types, values):
+    return dict(zip(types.names, values.tolist()))
+
+
 class TestPerfectMcav:
     def test_mixed_type(self):
-        antigens = ["a"] * 10
-        labels = [ANOMALOUS] * 8 + [NORMAL] * 2
-        assert perfect_mcav(antigens, labels) == {"a": 0.8}
+        types = antigen_types(["http"] * 10, [True] * 8 + [False] * 2)
+        assert by_name(types, types.anomalous_share) == {"tcp:http:SF": 0.8}
 
     def test_pure_types(self):
-        antigens = ["n"] * 3 + ["a"] * 3
-        labels = [NORMAL] * 3 + [ANOMALOUS] * 3
-        assert perfect_mcav(antigens, labels) == {"n": 0.0, "a": 1.0}
+        types = antigen_types(["smtp"] * 3 + ["http"] * 3,
+                              [False] * 3 + [True] * 3)
+        assert by_name(types, types.anomalous_share) == {
+            "tcp:smtp:SF": 0.0, "tcp:http:SF": 1.0}
 
     @given(st.lists(st.booleans(), min_size=1, max_size=50))
     def test_values_in_unit_interval(self, flags):
-        antigens = [f"t{i % 3}" for i in range(len(flags))]
-        labels = [ANOMALOUS if f else NORMAL for f in flags]
-        assert all(0 <= v <= 1 for v in perfect_mcav(antigens, labels).values())
+        services = [("http", "smtp", "ftp")[i % 3] for i in range(len(flags))]
+        mcav = antigen_types(services, flags).anomalous_share
+        assert ((0 <= mcav) & (mcav <= 1)).all()
 
 
 class TestConfusion:
     def test_perfect_agreement(self):
-        truth = {"a": ANOMALOUS, "n": NORMAL}
-        weights = {"a": 5, "n": 5}
-        rates = confusion_from_types(truth, truth, weights)
+        truth = [True, False]
+        rates = confusion_from_instances(truth, truth, [5, 5])
         assert rates.as_tuple() == (1.0, 1.0, 0.0, 0.0)
 
     def test_degenerate_truth_marks_undefined(self):
-        truth = {"a": ANOMALOUS, "b": ANOMALOUS}
-        predicted = {"a": NORMAL, "b": NORMAL}
-        rates = confusion_from_types(predicted, truth, {"a": 1, "b": 1})
+        rates = confusion_from_instances([False, False], [True, True], [1, 1])
         assert rates.tp_rate == 0.0
         assert rates.fn_rate == 1.0
         assert math.isnan(rates.tn_rate)
         assert math.isnan(rates.fp_rate)
 
     def test_instance_weighting(self):
-        truth = {"a": ANOMALOUS, "b": ANOMALOUS}
-        predicted = {"a": ANOMALOUS, "b": NORMAL}
-        rates = confusion_from_types(predicted, truth, {"a": 10, "b": 10})
+        rates = confusion_from_instances([True, False], [True, True],
+                                         [10, 10])
         assert rates.tp_rate == 0.5
         assert rates.fn_rate == 0.5
 
     def test_per_type_flag(self):
-        truth = {"a": ANOMALOUS, "b": ANOMALOUS}
-        predicted = {"a": ANOMALOUS, "b": NORMAL}
-        rates = confusion_from_types(predicted, truth, {"a": 30, "b": 10},
-                                     per_type=True)
-        assert rates.tp_rate == 0.5
+        # unweighted, each antigen type is one vote whatever its size
+        predicted, truth = [True, False], [True, True]
+        assert confusion_from_instances(predicted, truth).tp_rate == 0.5
+        assert confusion_from_instances(predicted, truth,
+                                        [30, 10]).tp_rate == 0.75
 
     def test_mismatched_universe_rejected(self):
         with pytest.raises(ConfigurationError):
-            confusion_from_types({"a": NORMAL}, {"b": NORMAL}, {"a": 1})
+            confusion_from_instances([False], [False, True])
+        with pytest.raises(ConfigurationError):
+            confusion_from_instances([False], [False], [1, 1])
 
     def test_instance_level(self):
-        predicted = [ANOMALOUS, NORMAL, ANOMALOUS, NORMAL]
-        truth = [ANOMALOUS, ANOMALOUS, NORMAL, NORMAL]
+        predicted = [True, False, True, False]
+        truth = [True, True, False, False]
         rates = confusion_from_instances(predicted, truth)
         assert rates.as_tuple() == (0.5, 0.5, 0.5, 0.5)
 
     def test_rate_pairs_sum_to_one(self):
-        predicted = [ANOMALOUS, ANOMALOUS, NORMAL, ANOMALOUS, NORMAL]
-        truth = [ANOMALOUS, NORMAL, NORMAL, ANOMALOUS, ANOMALOUS]
+        predicted = [True, True, False, True, False]
+        truth = [True, False, False, True, True]
         rates = confusion_from_instances(predicted, truth)
         assert rates.tp_rate + rates.fn_rate == pytest.approx(1.0)
         assert rates.fp_rate + rates.tn_rate == pytest.approx(1.0)
@@ -191,12 +202,18 @@ class TestMannWhitney:
         assert value > 0
 
     def test_normal_approximation_close_to_exact(self):
-        # tie-free 10 x 10 sample: approximation within 0.02 of exact
-        x = [1.0, 2.5, 3.0, 4.5, 7.0, 8.5, 10.0, 12.5, 15.0, 17.5]
-        y = [2.0, 3.5, 5.0, 6.5, 7.5, 9.0, 11.0, 13.5, 16.0, 18.5]
-        exact = mann_whitney_two_sided(x, y, method="exact").p_value
-        approx = mann_whitney_two_sided(x, y, method="approx").p_value
-        assert abs(exact - approx) < 0.02
+        # tie-free 11 x 11 sample, past the exact path's size limit: the
+        # approximation is within 0.02 of the exact p value
+        x = [1.0, 2.5, 3.0, 4.5, 7.0, 8.5, 10.0, 12.5, 15.0, 17.5, 19.0]
+        y = [2.0, 3.5, 5.0, 6.5, 7.5, 9.0, 11.0, 13.5, 16.0, 18.5, 20.0]
+        result = mann_whitney_two_sided(x, y)
+        distribution = _exact_u_distribution(len(x), len(y))
+        u_min = int(min(result.u_statistic,
+                        len(x) * len(y) - result.u_statistic))
+        exact = min(1.0, 2 * sum(distribution[:u_min + 1])
+                    / sum(distribution))
+        assert result.p_value != exact
+        assert abs(exact - result.p_value) < 0.02
 
     def test_ties_handled(self):
         x = [1.0, 1.0, 2.0, 3.0]
@@ -233,7 +250,9 @@ class TestMannWhitney:
 
 
 def test_type_instance_counts():
-    assert type_instance_counts(["a", "b", "a"]) == {"a": 2, "b": 1}
+    types = antigen_types(["http", "smtp", "http"], [False] * 3)
+    assert by_name(types, types.counts) == {"tcp:http:SF": 2,
+                                            "tcp:smtp:SF": 1}
 
 
 def test_average_rates_plain():

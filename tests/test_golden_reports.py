@@ -6,9 +6,9 @@ program as it stood, so any change to a report body fails here; a change
 that alters outputs on purpose must say so and re-record them. They say
 nothing about agreement with the published tables.
 
-The stream has six protocol:service:flag antigen types: one purely
-anomalous, one purely normal, and four mixed, two of them with an anomalous
-share above the 0.8 truth cut and two below it.
+The stream has seven protocol:service:flag antigen types: one purely
+anomalous, one purely normal, and five mixed, two of them with an anomalous
+share above the 0.8 truth cut, two below it and one exactly on it.
 """
 import hashlib
 
@@ -27,6 +27,7 @@ TYPES = (
     ("tcp", "smtp", "SF", 40, 34),     # 0.85: anomalous by truth
     ("tcp", "http", "SF", 60, 18),     # 0.3: normal by truth
     ("tcp", "ftp", "REJ", 40, 31),     # 0.775: normal by truth
+    ("udp", "private", "SF", 50, 40),  # exactly 0.8: normal by truth
 )
 PAMP_ATTRIBUTES = ("serror_rate", "srv_serror_rate", "same_srv_rate",
                    "dst_host_serror_rate", "dst_host_srv_serror_rate")
@@ -72,85 +73,85 @@ RUNS = {
 EXPECTED = {
     "custom": {
         "results.tsv":
-            "54072c95bcbacbe52e36bb69c82a493e373e33717a5c8c70433f0e67900585f7",
+            "7925608c30630fc16263f33cc0338050eccd3bc793cd2b033464d93dcab6adc6",
         "per_seed.tsv":
-            "aacacdf3db4faa735b27a52ecaf909dc0e3fe93e1067771b3dc3c3ea4f983248",
+            "66fdc7983dc16e4028b587b14c13293c317f56f0a66f15b0807cf92a71e8f644",
         "roc_points.tsv":
-            "3f21ffbba9c079704189125b0fe77ff4d515163c99cd897611dd0afb2a387d5f",
+            "202a545fe938675676184a55cc504c4df0ba8a8b52fbad5fde87dc9e455b170b",
         "mannwhitney.tsv":
-            "c403176a0178c8a8b6bc15dfe5e9ef06dabb2f5e6e36d4b2dc47ac3643f5d361",
+            "160e575d24cf2dcc94e322095ca2c0c6d1b48c5d412d8d86c3395a2f4ea6552c",
         "mcav/mcav_E1.1_-_seed1.tsv":
-            "b1ac2a46a294fd12ab3908ea1d4613088109d895fc7f1b8621b0a8fd96d6e088",
+            "4c977f3a5780cdfc860fddeb12d4f0f6a9bfd38ec35186cd9d2c880ce5787a88",
         "mcav/mcav_E1.1_-_seed2.tsv":
-            "f80a896f8262eeac071a31bd899601ce85a896acf32d613665129cf06aa2e178",
+            "4132b7a8573e8840b72ef4453e92047ef238b03e2a4789a4aa1a966f03c3f5d9",
         "mcav/mcav_custom_k_3,w_2_seed1.tsv":
-            "92f2923f91950d8f525606c2d6460b22dd714830d5a687c313e2769439afe889",
+            "3c30f05d0f0a7b1e64e4c13898b0141b714d6503750695c82a310ec816ff62ed",
         "mcav/mcav_custom_k_3,w_2_seed2.tsv":
-            "5daa0e706107c9abba96040350beb0fa2096a55359cca966c2b4f2f2e6cb646f",
+            "7de1b2582c3622326cab4c8e7ab1f6e12ec8500bd10d07982f8f67bfbcb5b159",
     },
     "e1.1": {
         "results.tsv":
             "b665757c17cfc7bc4c1e939e35e82096dafb5c8e2b1acbad413de03247b57d1c",
         "per_seed.tsv":
-            "f91da3708343b8b6b0363e483ebe89a31733eb36b98692c0dec427235bad8aa1",
+            "02a4571d06bec2ff93cf4a996930ae37e36c14cf5a5e3588a072bf2ac73b05ee",
         "roc_points.tsv":
             "e6f95874800e392c9dfd37fab17d41acd1f6e89c8415c4ce5aa3fd40a419b06e",
         "mcav/mcav_E1.1_-_seed1.tsv":
-            "b1ac2a46a294fd12ab3908ea1d4613088109d895fc7f1b8621b0a8fd96d6e088",
+            "4c977f3a5780cdfc860fddeb12d4f0f6a9bfd38ec35186cd9d2c880ce5787a88",
         "mcav/mcav_E1.1_-_seed2.tsv":
-            "f80a896f8262eeac071a31bd899601ce85a896acf32d613665129cf06aa2e178",
+            "4132b7a8573e8840b72ef4453e92047ef238b03e2a4789a4aa1a966f03c3f5d9",
     },
     "e1.2": {
         "results.tsv":
-            "0c910483a483f14db992cf234b59ce03ad663012962b2c1bba25a49cef2ab4dc",
+            "c75aa4f72b7cbddd791a239f0144392acc25385cb467896a0d0bacd5d92eea21",
         "per_seed.tsv":
-            "9da5958a2dad44a8e48c5bcf03ba9e36a3a27aabe4b339a0369641ebf69f7094",
+            "4ae3167a46020308dab16dcfc4a92a806cc2f34f8a5de1afea494e1accf1fc7b",
         "roc_points.tsv":
-            "e082ea84c72b9b4de427addf76b6794372bc1f1f3f4a6f54f2aefd18da295871",
+            "08e2587eacfb907b7d10c42533817474a5c1ff30e7ad8bdfd96c03e0ec7b4b93",
         "mannwhitney.tsv":
-            "8fc8f48bbc3fe277b42914b7be7dc48a1d70f95d59a8125d3d4eb97f7f5f2427",
+            "4ee9bd330380836fbc00445828a6f6a64e2c8655945916f08b55251fc916c61f",
         "mcav/mcav_E1.1_-_seed1.tsv":
-            "b1ac2a46a294fd12ab3908ea1d4613088109d895fc7f1b8621b0a8fd96d6e088",
+            "4c977f3a5780cdfc860fddeb12d4f0f6a9bfd38ec35186cd9d2c880ce5787a88",
         "mcav/mcav_E1.1_-_seed2.tsv":
-            "f80a896f8262eeac071a31bd899601ce85a896acf32d613665129cf06aa2e178",
+            "4132b7a8573e8840b72ef4453e92047ef238b03e2a4789a4aa1a966f03c3f5d9",
         "mcav/mcav_E1.2_10_seed1.tsv":
-            "82c305194e64b569c7c17b03cd7a44dc6265bb9e26bc861c59e76feb8bab1a54",
+            "6bf5e821d49f3b6068f9f293c2b6f60d186813c33030b3ebe5bd2dc132171b81",
         "mcav/mcav_E1.2_10_seed2.tsv":
-            "7ea0b4a8e5bbd69540a5f4fb1c3554beda0fdc548dbda6136b2133afb4cc01e7",
+            "9eea9e3913806c5fc9d5d67fdeb55d3b17de21f21e4e19ee5b99265b597c3596",
         "mcav/mcav_E1.2_5_seed1.tsv":
-            "9b98addb0ba8e80270d31845bc8e5b53a7eb8dedd0925b7ff5719e8aa2565a63",
+            "ca19eee1a8aa697125cea4316aa5858819163992643e585c85ca0183c35c127f",
         "mcav/mcav_E1.2_5_seed2.tsv":
-            "6e337b43d2f06538fe2718e4ba4256b805d509b4263da83eb3c6042bb2bcc5d8",
+            "caf1b5061cacc11ffba65edf2ce5464ff833ec3a52aa835580c5546a3565b257",
     },
     "e1.3": {
         "results.tsv":
-            "450a3cc3f7320a01e4b611d6e3320c249d4ab5cb77cab4e37f2d7fbd9a2c8294",
+            "b9be4395a9972e6d3b27de63f99f0c83c72842e99cda0312e826948453d6c41c",
         "per_seed.tsv":
-            "be261a0f9a3a0b92aff8a2f2e9021df23d76df25ea6ef8e02d6bd97f333dc37b",
+            "33a1c46a2b520a08befdadb7b11d7576a91126334bee717f352bd45e4cecbd1f",
         "roc_points.tsv":
-            "5e0abd8ba2c8a0bb65775ea97ddb9fb1ae42f86c6760625085fba1786f4857ea",
+            "69b68139c56fa49b95b5c68637e1c54acd22208b43a70ea41dfe6570de650caa",
         "mannwhitney.tsv":
-            "9b6ac06753f50d1eebab46835fedc9ea957ae44a15a36869e1cfc8efa5d50dbc",
+            "a4cf7ecbb97f9b438b1b7e91e33be36dc23145a530405006af1551d22134ee0f",
         "mcav/mcav_E1.1_-_seed1.tsv":
-            "b1ac2a46a294fd12ab3908ea1d4613088109d895fc7f1b8621b0a8fd96d6e088",
+            "4c977f3a5780cdfc860fddeb12d4f0f6a9bfd38ec35186cd9d2c880ce5787a88",
         "mcav/mcav_E1.1_-_seed2.tsv":
-            "f80a896f8262eeac071a31bd899601ce85a896acf32d613665129cf06aa2e178",
+            "4132b7a8573e8840b72ef4453e92047ef238b03e2a4789a4aa1a966f03c3f5d9",
         "mcav/mcav_E1.3_2_seed1.tsv":
-            "5e872e72abdb87712bf30171ef3b90443127d4b7b46a3560b51d377fd42771f4",
+            "9a552d7e8c34967811203563f50df4594e8ce0d0083eef821f6eb34dde08477b",
         "mcav/mcav_E1.3_2_seed2.tsv":
-            "09fb7072e47270e80d8de5eaf82a2e7b0887fa9a8ac1215dfd509d8345fdc66e",
+            "ce6b7b396fd9a312061935771092bbf9a41665aa238dfd8c05f1e37ab6742dcb",
         "mcav/mcav_E1.3_5_seed1.tsv":
-            "36dee793812797a29adaf213cf32ff26502138098b3902e0e728c5a29dc3f5bd",
+            "cd3fecba1f23a1c1945b8c4e1c53504275fb249d02b40659f2d1a7456d661a7c",
         "mcav/mcav_E1.3_5_seed2.tsv":
-            "658eb9d4e9e7c9d62e87e8c6e605c68f9cb0a5b008a4d7045f058a9b665a1798",
+            "31e22553c35cea10cfdb706f2547bde37afa2451fb3ee27d7041a051f3901a19",
     },
     "e2": {
         "results.tsv":
-            "9e1724efd7d5c12d7e572961b6d39423f6c3b56a9fecc862b559dec342facc82",
+            "2364c2213663e01ab3c42f031dd60dc5e1eb33e3b48e760146ec987b082d0b56",
         "per_seed.tsv":
-            "6bf70986db186d5d18044364b4a9db3f4f7540c333b5f1764438044fc8d9ffbd",
+            "5e48db472082656a16e94683bea59d65ae3c2ed79f7c2ab6f96da92c74b40f16",
         "roc_points.tsv":
-            "8528641250e3f15e1868865acb48440a5ed26f14d10cf5e96c5c4d1fa5ad382a",
+            "f7eeee4a426a462da81b167ccf31515c047eacda162ea001d42e2e8339f61746",
     },
 }
 

@@ -12,6 +12,7 @@ from dca_ids.signals import (
     AttributeRange,
     SignalConfig,
     antigen_stream,
+    antigen_type_names,
     apply_time_window,
     attribute_gains,
     default_signal_config,
@@ -64,18 +65,23 @@ class TestEntropy:
         assert entropy2(p, 1 - p) == pytest.approx(entropy2(1 - p, p))
 
 
+def label_gain(values, labels):
+    """``info_gain`` of string labels, as the brute-force oracle takes them."""
+    return info_gain(values, [label == "anomalous" for label in labels])
+
+
 class TestInfoGain:
     def test_perfect_separation(self):
         values = ["a", "a", "b", "b"]
         labels = ["normal", "normal", "anomalous", "anomalous"]
-        assert info_gain(values, labels) == pytest.approx(1.0)
+        assert label_gain(values, labels) == pytest.approx(1.0)
         assert brute_gain(values, labels) == pytest.approx(1.0)
 
     def test_constant_attribute(self):
-        assert info_gain(["a"] * 6, ["normal", "anomalous"] * 3) == 0.0
+        assert label_gain(["a"] * 6, ["normal", "anomalous"] * 3) == 0.0
 
     def test_pure_labels(self):
-        assert info_gain(["a", "b", "a"], ["normal"] * 3) == 0.0
+        assert label_gain(["a", "b", "a"], ["normal"] * 3) == 0.0
 
     def test_exhaustive_small_sets(self):
         # every labeled set of <= 8 elements over a 2-valued attribute
@@ -86,14 +92,14 @@ class TestInfoGain:
                 ):
                     values = list(value_bits)
                     labels = list(label_bits)
-                    assert info_gain(values, labels) == pytest.approx(
+                    assert label_gain(values, labels) == pytest.approx(
                         max(brute_gain(values, labels), 0.0), abs=1e-12
                     )
 
     def test_numeric_discretization(self):
         values = [0.0, 0.1, 0.9, 1.0]
         labels = ["normal", "normal", "anomalous", "anomalous"]
-        assert info_gain(values, labels) == pytest.approx(1.0)
+        assert label_gain(values, labels) == pytest.approx(1.0)
 
     @given(
         st.lists(
@@ -105,7 +111,7 @@ class TestInfoGain:
     def test_bounded_by_label_entropy(self, pairs):
         values = [p[0] for p in pairs]
         labels = [p[1] for p in pairs]
-        gain = info_gain(values, labels)
+        gain = label_gain(values, labels)
         assert -1e-12 <= gain <= brute_entropy(labels) + 1e-12
 
 
@@ -298,13 +304,20 @@ class TestTimeWindow:
             assert (out[i] <= window.max(axis=0) + 1e-9).all()
 
 
+def antigen_names(table):
+    names = antigen_type_names(table)
+    return [names[code] for code in antigen_stream(table).tolist()]
+
+
 class TestAntigens:
     def test_join(self):
-        assert antigen_stream(one_record()) == ["tcp:http:SF"]
+        assert antigen_stream(one_record()).tolist() == [0]
+        assert antigen_names(one_record()) == ["tcp:http:SF"]
 
     def test_deterministic(self):
         table = parse_kdd_lines([make_line(), make_line()])
-        assert antigen_stream(table) == antigen_stream(one_record()) * 2
+        assert antigen_stream(table).tolist() == [0, 0]
+        assert antigen_names(table) == antigen_names(one_record()) * 2
 
     def test_distinct_triples_distinct_ids(self):
         a, b = antigen_stream(parse_kdd_lines([
@@ -315,26 +328,23 @@ class TestAntigens:
     def test_stream_order_preserved(self):
         table = parse_kdd_lines([make_line(service="http"),
                                  make_line(service="smtp")])
-        assert antigen_stream(table) == ["tcp:http:SF", "tcp:smtp:SF"]
+        assert antigen_names(table) == ["tcp:http:SF", "tcp:smtp:SF"]
 
     # The antigen multiplier is applied by the cell population, which deals
     # ``multiplier`` copies of each record's antigen.
     @staticmethod
     def presented(k):
-        _, log = run_dca_with_log(["tcp:http:SF"], np.zeros((1, 3)),
+        table = one_record()
+        _, log = run_dca_with_log(antigen_stream(table), np.zeros((1, 3)),
                                   DcaConfig(multiplier=k), seed=1)
-        return log
+        return log.totals.tolist()
 
     def test_multiplier_identity(self):
-        log = self.presented(1)
-        assert log.total_count("tcp:http:SF") == 1
-        assert log.types() == ["tcp:http:SF"]
+        assert self.presented(1) == [1]
 
     @pytest.mark.parametrize("k", [5, 100])
     def test_multiplier_counts(self, k):
-        log = self.presented(k)
-        assert log.total_count("tcp:http:SF") == k
-        assert log.types() == ["tcp:http:SF"]
+        assert self.presented(k) == [k]
 
     def test_multiplier_rejects_zero(self):
         with pytest.raises(ConfigurationError):
