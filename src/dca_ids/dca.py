@@ -18,7 +18,7 @@ weighted count at the end of the run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,14 +37,6 @@ DEFAULT_WEIGHTS = np.array(
         [3.0, 3.0, -3.0],
     ]
 )
-
-
-def transform_signals(
-    triple: Sequence[float], weights: np.ndarray = DEFAULT_WEIGHTS
-) -> tuple[float, float, float]:
-    """Weighted sum of the input triple into (csm, semi, mat)."""
-    out = np.asarray(triple, dtype=float) @ np.asarray(weights, dtype=float)
-    return float(out[0]), float(out[1]), float(out[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +63,6 @@ class DcaConfig:
     multiplier: int = 1
     window: int = 1
     mcav_threshold: float = 0.8
-    weights: np.ndarray = field(default_factory=lambda: DEFAULT_WEIGHTS.copy())
 
     def __post_init__(self):
         if self.population_size < 1:
@@ -120,7 +111,7 @@ def run_dca_with_log(
             "antigen stream and signal stream must be index-aligned"
         )
     windowed = apply_time_window(np.asarray(signals, dtype=float), config.window)
-    steps = (windowed @ np.asarray(config.weights, dtype=float)).tolist()
+    steps = (windowed @ DEFAULT_WEIGHTS).tolist()
     size = config.population_size
     per_step = config.cells_per_step
     k = config.multiplier

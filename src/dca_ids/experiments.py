@@ -50,6 +50,9 @@ logger = logging.getLogger(__name__)
 C45_REFERENCE_TP_RATE = 0.988
 C45_REFERENCE_FP_RATE = 0.008
 
+# Significance level of the Mann-Whitney comparison against the base run.
+ALPHA = 0.05
+
 DEFAULT_SEEDS = tuple(range(1, 11))
 DEFAULT_MULTIPLIERS = (5, 10, 50, 100)
 DEFAULT_WINDOWS = (2, 3, 5, 7, 10, 100, 1000)
@@ -72,7 +75,6 @@ class ExperimentConfig:
     folds: int = 10
     fold_seed: int = 1
     range_config_path: Path | None = None
-    alpha: float = 0.05
     write_mcav_tables: bool = True
 
     def __post_init__(self):
@@ -170,12 +172,11 @@ def _dca_sweep_point(
                       tuple(per_seed))
 
 
-def _with_mann_whitney(point: SweepPoint, base: SweepPoint,
-                       alpha: float) -> SweepPoint:
+def _with_mann_whitney(point: SweepPoint, base: SweepPoint) -> SweepPoint:
     test = mann_whitney_two_sided(
         [r.rates.tp_rate for r in point.per_seed],
         [r.rates.tp_rate for r in base.per_seed],
-        alpha,
+        ALPHA,
     )
     return dataclasses.replace(point, mann_whitney=test)
 
@@ -218,20 +219,20 @@ def _run_e1(config: ExperimentConfig, table: KddTable,
             dca = dataclasses.replace(config.dca, multiplier=k, window=1)
             point = _dca_sweep_point("E1.2", str(k), dca, stream, signals,
                                      config, mcav_dir)
-            points.append(_with_mann_whitney(point, base, config.alpha))
+            points.append(_with_mann_whitney(point, base))
     elif config.experiment == "E1.3":
         for w in config.windows:
             dca = dataclasses.replace(config.dca, multiplier=1, window=w)
             point = _dca_sweep_point("E1.3", str(w), dca, stream, signals,
                                      config, mcav_dir)
-            points.append(_with_mann_whitney(point, base, config.alpha))
+            points.append(_with_mann_whitney(point, base))
     else:  # custom: run the configuration exactly as given
         point = _dca_sweep_point(
             "custom",
             f"k={config.dca.multiplier},w={config.dca.window}",
             config.dca, stream, signals, config, mcav_dir,
         )
-        points = [base, _with_mann_whitney(point, base, config.alpha)]
+        points = [base, _with_mann_whitney(point, base)]
     return points
 
 
@@ -246,10 +247,10 @@ def _run_e2(config: ExperimentConfig, table: KddTable) -> list[SweepPoint]:
                 f"dimension {d} exceeds the {len(attributes)} configured "
                 f"attributes"
             )
-        subset = attributes[:d]
+        rates = run_nsa(table, attributes[:d], folds, config.nsa,
+                        config.seeds)
         per_seed = []
-        for seed in config.seeds:
-            _, mean = run_nsa(table, subset, folds, config.nsa, seed)
+        for seed, mean in zip(config.seeds, rates):
             per_seed.append(RunResult(f"E2:{d}", seed, mean))
             logger.info("E2 d=%d seed=%d tp=%s fp=%s", d, seed,
                         _fmt(mean.tp_rate), _fmt(mean.fp_rate))
@@ -334,12 +335,13 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         f"mcav_threshold: {config.dca.mcav_threshold}",
         f"multiplier: {config.dca.multiplier}",
         f"window: {config.dca.window}",
+        "time_window: forward mean",
         f"nsa_self_radius: {config.nsa.self_radius}",
         f"nsa_detector_radius: {config.nsa.detector_radius}",
         f"nsa_detector_count: {config.nsa.detector_count}",
         f"folds: {config.folds} (seed {config.fold_seed})",
         f"range_config: {config.range_config_path or 'built-in defaults'}",
-        f"alpha: {config.alpha}",
+        f"alpha: {ALPHA}",
         "",
         "reference decision-tree benchmark (not computed): "
         f"tp_rate={C45_REFERENCE_TP_RATE} fp_rate={C45_REFERENCE_FP_RATE}",

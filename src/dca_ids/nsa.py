@@ -184,66 +184,57 @@ class NsaParams:
     max_attempts: int | None = None
 
 
-def run_nsa_fold(
-    train_matrix: np.ndarray,
-    train_normal: np.ndarray,
-    test_matrix: np.ndarray,
-    params: NsaParams,
-    seed: int,
-):
-    """One cross-validation fold: fit bounds on training data, censor
-    detectors against the normalized training instances marked in
-    ``train_normal``, classify the normalized test instances. Returns
-    (anomalous mask over the test instances, detectors)."""
-    lo, hi = minmax_fit(train_matrix)
-    train_norm = minmax_apply(train_matrix, lo, hi)
-    test_norm = minmax_apply(test_matrix, lo, hi)
-    detectors = generate_detectors(
-        train_norm[train_normal],
-        params.detector_count,
-        train_matrix.shape[1],
-        seed,
-        params.max_attempts,
-        params.self_radius,
-        params.detector_radius,
-    )
-    predictions = classify_points(test_norm, detectors, params.detector_radius)
-    return predictions, detectors
-
-
 def run_nsa(
     table: KddTable,
     attributes: Sequence[str],
     folds: np.ndarray,
     params: NsaParams,
-    seed: int,
+    seeds: Sequence[int],
 ):
-    """Full cross-validated run over the given attribute subset.
+    """Full cross-validated run over the given attribute subset, once per
+    seed.
 
-    Returns (per-fold ConfusionRates list, averaged ConfusionRates). Folds
-    without any normal training instance are skipped with a warning.
+    Nothing before detector generation depends on the seed, so the
+    attribute matrix is extracted once and each fold's state is built once
+    for all seeds: min-max bounds fit on the fold's training rows and
+    applied to the whole matrix, the normal training rows as the self set
+    and the test rows to classify. Each seed then censors its own detectors
+    against that self set and classifies the test rows. Returns one
+    fold-averaged ConfusionRates per seed, in seed order. Folds without any
+    normal training instance are skipped with one warning each.
     """
     from .evaluation import average_rates, confusion_from_instances
 
-    if not 1 <= len(attributes):
-        raise ConfigurationError("need at least one attribute")
+    if not attributes or not seeds:
+        raise ConfigurationError("need at least one attribute and one seed")
     matrix = attribute_matrix(table, attributes)
-    normal = ~table.anomalous
     folds = np.asarray(folds)
-    per_fold = []
+    per_seed = [[] for _ in seeds]
     for fold in range(int(folds.max()) + 1):
         test_mask = folds == fold
-        train_mask = ~test_mask
-        if not normal[train_mask].any():
+        self_mask = ~test_mask & ~table.anomalous
+        if not self_mask.any():
             logger.warning("fold %d has no normal training instances; skipped",
                            fold)
             continue
-        predictions, _ = run_nsa_fold(
-            matrix[train_mask], normal[train_mask], matrix[test_mask],
-            params, seed,
-        )
-        per_fold.append(
-            confusion_from_instances(predictions, ~normal[test_mask]))
-    if not per_fold:
+        lo, hi = minmax_fit(matrix[~test_mask])
+        scaled = minmax_apply(matrix, lo, hi)
+        self_points = scaled[self_mask]
+        test_points = scaled[test_mask]
+        truth = table.anomalous[test_mask]
+        for per_fold, seed in zip(per_seed, seeds):
+            detectors = generate_detectors(
+                self_points,
+                params.detector_count,
+                len(attributes),
+                seed,
+                params.max_attempts,
+                params.self_radius,
+                params.detector_radius,
+            )
+            predictions = classify_points(test_points, detectors,
+                                          params.detector_radius)
+            per_fold.append(confusion_from_instances(predictions, truth))
+    if not per_seed[0]:
         raise ConfigurationError("every fold was skipped; no results")
-    return per_fold, average_rates(per_fold)
+    return [average_rates(per_fold) for per_fold in per_seed]

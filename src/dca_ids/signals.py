@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +55,10 @@ _FALLBACK_COUNT_BOUNDS = {
     "dst_host_count": (0.0, 255.0),
 }
 _COUNT_ATTRIBUTES = tuple(_FALLBACK_COUNT_BOUNDS)
+
+# Equal-width bins a continuous attribute is split into for its information
+# gain.
+GAIN_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -197,14 +200,14 @@ def entropy2(p1: float, p2: float) -> float:
     return total
 
 
-def _binned(values: np.ndarray, bins: int) -> np.ndarray:
+def _binned(values: np.ndarray) -> np.ndarray:
     """Equal-width bin index of each value over the observed range."""
     lo = values.min()
     hi = values.max()
     if hi == lo:
         return np.zeros(len(values), dtype=np.int64)
-    width = (hi - lo) / bins
-    return np.minimum(((values - lo) / width).astype(np.int64), bins - 1)
+    width = (hi - lo) / GAIN_BINS
+    return np.minimum(((values - lo) / width).astype(np.int64), GAIN_BINS - 1)
 
 
 def _gain(keys: np.ndarray, normal: np.ndarray) -> float:
@@ -226,34 +229,18 @@ def _gain(keys: np.ndarray, normal: np.ndarray) -> float:
     return max(gain, 0.0)
 
 
-def info_gain(values: Sequence, anomalous: Sequence[bool],
-              bins: int = 10) -> float:
-    """Entropy reduction of the binary label distribution (``anomalous``, a
-    bool per value) from conditioning on an attribute. Numeric values are
-    first discretized into ``bins`` equal-width bins over their observed
-    range; other values are categories."""
-    if len(values) == 0 or len(values) != len(anomalous):
-        raise ValueError("need equally sized, non-empty values and labels")
-    if all(isinstance(v, (int, float)) for v in values):
-        keys = _binned(np.asarray(values, dtype=float), bins)
-    else:
-        keys = np.asarray(values, dtype=str)
-    return _gain(keys, ~np.asarray(anomalous, dtype=bool))
-
-
-def attribute_gains(table: KddTable,
-                    bins: int = 10) -> list[tuple[str, float]]:
+def attribute_gains(table: KddTable) -> list[tuple[str, float]]:
     """Information gain of every attribute, sorted descending by gain.
 
-    Nominal attributes partition by value, continuous ones by equal-width
-    bin."""
+    Nominal attributes partition by value, continuous ones by ``GAIN_BINS``
+    equal-width bins over the observed range."""
     if not table:
         raise ConfigurationError("no records to rank attributes on")
     normal = ~table.anomalous
     gains = []
     for name in ATTRIBUTE_NAMES:
         column = table.column(name)
-        keys = column if name in NOMINAL_ATTRIBUTES else _binned(column, bins)
+        keys = column if name in NOMINAL_ATTRIBUTES else _binned(column)
         gains.append((name, _gain(keys, normal)))
     gains.sort(key=lambda pair: (-pair[1], pair[0]))
     return gains

@@ -3,7 +3,9 @@ replaced.
 
 The classes and functions below are the earlier engine's code, kept verbatim
 so the array-backed engine can be checked against it tally for tally. Only the
-imports changed. Nothing in the package imports this module.
+imports changed, plus two things the package no longer has: the signal
+transform is a local copy, and the weights are always ``DEFAULT_WEIGHTS``.
+Nothing in the package imports this module.
 """
 from __future__ import annotations
 
@@ -12,9 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from dca_ids.dca import DEFAULT_WEIGHTS, DcaConfig, transform_signals
+from dca_ids.dca import DEFAULT_WEIGHTS, DcaConfig
 from dca_ids.errors import ConfigurationError
 from dca_ids.signals import apply_time_window
+
+
+def transform_signals(
+    triple: Sequence[float], weights: np.ndarray = DEFAULT_WEIGHTS
+) -> tuple[float, float, float]:
+    """Weighted sum of the input triple into (csm, semi, mat)."""
+    out = np.asarray(triple, dtype=float) @ np.asarray(weights, dtype=float)
+    return float(out[0]), float(out[1]), float(out[2])
 
 
 @dataclass
@@ -129,7 +139,7 @@ def tissue_step(
     selected = rng.choice(
         config.population_size, size=config.cells_per_step, replace=False
     )
-    csm, semi, mat = transform_signals(triple, config.weights)
+    csm, semi, mat = transform_signals(triple, DEFAULT_WEIGHTS)
 
     # Deal the stored copies round-robin across the selected cells, then let
     # every selected cell sample the current signal.

@@ -17,19 +17,19 @@ import numpy as np
 import pytest
 
 from dca_ids.dataset import kfold_split, read_kdd_file
-from dca_ids.dca import DcaConfig, run_dca_with_log, transform_signals
+from dca_ids.dca import DcaConfig, run_dca_with_log
 from dca_ids.evaluation import confusion_from_instances, mann_whitney_two_sided
 from dca_ids.experiments import AntigenTypes
 from dca_ids.nsa import NsaParams, run_nsa
 from dca_ids.signals import (
     default_signal_config,
     entropy2,
-    info_gain,
     signal_stream,
 )
 
+from test_dca import transform_signals
 from test_evaluation import brute_mann_whitney_p
-from test_signals import brute_entropy, brute_gain
+from test_signals import brute_entropy, brute_gain, small_gain_cases
 
 DATA_ENV = "DCA_IDS_KDD99"
 SEEDS = tuple(range(1, 11))
@@ -137,10 +137,8 @@ def test_criterion_4_negative_selection_collapse(kdd):
     params = NsaParams()
     by_dimension = {}
     for d in range(2, 11):
-        per_seed = []
-        for seed in SEEDS:
-            _, mean = run_nsa(kdd.table, attributes[:d], folds, params, seed)
-            per_seed.append(mean)
+        per_seed = run_nsa(kdd.table, attributes[:d], folds, params,
+                           seeds=SEEDS)
         by_dimension[d] = (
             float(np.mean([r.tp_rate for r in per_seed])),
             float(np.mean([r.fp_rate for r in per_seed])),
@@ -230,16 +228,10 @@ class TestCriterion5:
 
     def test_entropy_and_gain_against_brute_force(self):
         ok = True
-        for n in range(1, 9):
-            for values in itertools.product("ab", repeat=n):
-                for labels in itertools.product(
-                    ["normal", "anomalous"], repeat=n
-                ):
-                    want = max(brute_gain(list(values), list(labels)), 0.0)
-                    got = info_gain(list(values),
-                                    [label == "anomalous" for label in labels])
-                    if not math.isclose(got, want, abs_tol=1e-12):
-                        ok = False
+        for values, labels, got in small_gain_cases():
+            want = max(brute_gain(values, labels), 0.0)
+            if not math.isclose(got, want, abs_tol=1e-12):
+                ok = False
         # entropy itself against the oracle on a proportion sweep
         for i in range(0, 101):
             p = i / 100

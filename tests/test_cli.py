@@ -105,6 +105,14 @@ class TestE2Command:
                      "--seeds", "1", "--dimensions", "11"])
         assert code == EXIT_CONFIG
 
+    def test_all_anomalous_file(self, tmp_path, capsys):
+        path = tmp_path / "attacks.kdd"
+        path.write_text("\n".join([anomalous_line()] * 20) + "\n")
+        code = main(["e2", str(path), "--out", str(tmp_path / "out"),
+                     "--seeds", "1,2", "--dimensions", "2", "--folds", "4"])
+        assert code == EXIT_CONFIG
+        assert "every fold was skipped" in capsys.readouterr().err
+
 
 class TestInfogain:
     def test_report(self, synthetic_dataset, tmp_path):

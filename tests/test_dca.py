@@ -5,10 +5,10 @@ import pytest
 
 from dca_ids.dataset import ANOMALOUS, NORMAL
 from dca_ids.dca import (
+    DEFAULT_WEIGHTS,
     DcaConfig,
     PresentationLog,
     run_dca_with_log,
-    transform_signals,
     write_mcav_table,
 )
 from dca_ids.errors import ConfigurationError
@@ -23,6 +23,11 @@ def small_config(**overrides):
     defaults = dict(population_size=20, cells_per_step=5)
     defaults.update(overrides)
     return DcaConfig(**defaults)
+
+
+def transform_signals(triple):
+    """(csm, semi, mat) of one input triple under the engine's weights."""
+    return tuple((np.asarray(triple, dtype=float) @ DEFAULT_WEIGHTS).tolist())
 
 
 class TestTransform:

@@ -15,7 +15,7 @@ from dca_ids.nsa import (
     run_nsa,
 )
 
-from conftest import anomalous_line, normal_line
+from conftest import anomalous_line, make_line, normal_line
 from dca_ids.dataset import parse_kdd_lines
 
 
@@ -195,8 +195,8 @@ class TestRunNsa:
         folds = kfold_split(len(records), 4, seed=1)
         params = NsaParams(detector_count=1, max_attempts=1,
                            self_radius=2.0, detector_radius=2.0)
-        per_fold, mean = run_nsa(records, self.attributes(), folds, params,
-                                 seed=1)
+        [mean] = run_nsa(records, self.attributes(), folds, params,
+                         seeds=(1,))
         assert mean.tp_rate == 0.0
         assert mean.tn_rate == 1.0
 
@@ -204,8 +204,8 @@ class TestRunNsa:
         records = self.records()
         folds = kfold_split(len(records), 4, seed=1)
         params = NsaParams(detector_count=1000)
-        _, mean = run_nsa(records, ["serror_rate", "logged_in"], folds,
-                          params, seed=1)
+        [mean] = run_nsa(records, ["serror_rate", "logged_in"], folds,
+                         params, seeds=(1,))
         assert mean.tp_rate > 0.5
         assert mean.fp_rate < 0.5
 
@@ -219,14 +219,66 @@ class TestRunNsa:
             "dst_host_srv_serror_rate", "srv_diff_host_rate",
             "dst_host_count",
         ]
-        _, mean = run_nsa(records, attributes, folds, params, seed=1)
+        [mean] = run_nsa(records, attributes, folds, params, seeds=(1,))
         assert mean.tp_rate < 0.1
 
     def test_deterministic(self):
         records = self.records(20, 20)
         folds = kfold_split(len(records), 4, seed=2)
         params = NsaParams(detector_count=50)
-        a = run_nsa(records, self.attributes(), folds, params, seed=9)[1]
-        b = run_nsa(records, self.attributes(), folds, params, seed=9)[1]
+        a = run_nsa(records, self.attributes(), folds, params, seeds=(9,))
+        b = run_nsa(records, self.attributes(), folds, params, seeds=(9,))
         assert a == b
+
+    def test_seeds_are_independent(self, monkeypatch):
+        # Normal records cover the left 40% of the square, so the self set
+        # rejects most candidates and every call builds the covered-cell
+        # grid; attacks just right of the censored band are matched or not
+        # depending on where a seed's detectors fall.
+        records = parse_kdd_lines(
+            [make_line(serror_rate=i / 40, srv_serror_rate=j / 20)
+             for i in range(17) for j in range(21)]
+            + [anomalous_line()] * 10
+            + [make_line(label="smurf.", serror_rate=0.5 + i / 200,
+                         srv_serror_rate=j / 4)
+               for i in range(5) for j in range(5)]
+        )
+        folds = kfold_split(len(records), 4, seed=1)
+        params = NsaParams(detector_count=600)
+        attributes = ["serror_rate", "srv_serror_rate"]
+        grids = []
+        covered_cells = nsa._covered_cells
+        monkeypatch.setattr(nsa, "_covered_cells",
+                            lambda *args: grids.append(args)
+                            or covered_cells(*args))
+        together = run_nsa(records, attributes, folds, params,
+                           seeds=(3, 1, 2))
+        assert len(grids) == 3 * 4
+        assert len({rates.tp_rate for rates in together}) == 3
+        assert together == [
+            run_nsa(records, attributes, folds, params, seeds=(seed,))[0]
+            for seed in (3, 1, 2)
+        ]
+
+    def test_fold_without_normal_training_is_skipped_once(self, caplog):
+        # the only normal record is in one fold's test split
+        records = self.records(n_normal=1, n_anomalous=19)
+        folds = kfold_split(len(records), 4, seed=1)
+        params = NsaParams(detector_count=50)
+        with caplog.at_level("WARNING", logger="dca_ids.nsa"):
+            rates = run_nsa(records, self.attributes(), folds, params,
+                            seeds=(1, 2, 3))
+        skipped = [r for r in caplog.records
+                   if "no normal training instances" in r.getMessage()]
+        assert len(skipped) == 1
+        assert f"fold {folds[0]} " in skipped[0].getMessage()
+        assert len(rates) == 3
+
+    def test_all_anomalous_table_rejected(self):
+        records = self.records(n_normal=0, n_anomalous=20)
+        folds = kfold_split(len(records), 4, seed=1)
+        with pytest.raises(ConfigurationError,
+                           match="every fold was skipped"):
+            run_nsa(records, self.attributes(), folds, NsaParams(),
+                    seeds=(1, 2))
 
