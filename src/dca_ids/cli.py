@@ -15,15 +15,7 @@ from pathlib import Path
 from .dataset import read_kdd_file
 from .dca import DcaConfig
 from .errors import ConfigurationError, ParseError, ReportError
-from .experiments import (
-    DEFAULT_DIMENSIONS,
-    DEFAULT_MULTIPLIERS,
-    DEFAULT_SEEDS,
-    DEFAULT_WINDOWS,
-    ExperimentConfig,
-    emit_infogain,
-    run_experiment,
-)
+from .experiments import ExperimentConfig, emit_infogain, run_experiment
 from .nsa import NsaParams
 
 EXIT_OK = 0
@@ -42,37 +34,43 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("data", type=Path, help="KDD-format data file "
-                        "(plain or gzip)")
-    parser.add_argument("--out", type=Path, default=Path("results"),
+    parser.add_argument("data_path", metavar="data", type=Path,
+                        help="KDD-format data file (plain or gzip)")
+    parser.add_argument("--out", dest="output_dir", type=Path,
+                        default=Path("results"),
                         help="output directory (default: results/)")
-    parser.add_argument("--seeds", type=_int_list, default=DEFAULT_SEEDS,
-                        help="comma-separated seed list (default: 1..10)")
-    parser.add_argument("--ranges", type=Path, default=None,
+    parser.add_argument("--seeds", type=_int_list,
+                        help="comma-separated seed list")
+    parser.add_argument("--ranges", dest="range_config_path", type=Path,
                         help="attribute range configuration file")
-    parser.add_argument("--no-mcav-tables", action="store_true",
+    parser.add_argument("--no-mcav-tables", dest="write_mcav_tables",
+                        action="store_false",
                         help="skip per-run MCAV table files")
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def _add_dca_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--population", type=int, default=100)
-    parser.add_argument("--cells-per-step", type=int, default=10)
-    parser.add_argument("--threshold-low", type=float, default=100.0)
-    parser.add_argument("--threshold-high", type=float, default=300.0)
-    parser.add_argument("--mcav-threshold", type=float, default=0.8)
+    parser.add_argument("--population", dest="population_size", type=int)
+    parser.add_argument("--cells-per-step", type=int)
+    parser.add_argument("--threshold-low", type=float)
+    parser.add_argument("--threshold-high", type=float)
+    parser.add_argument("--mcav-threshold", type=float)
 
 
 def _add_nsa_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--self-radius", type=float, default=0.1)
-    parser.add_argument("--detector-radius", type=float, default=0.1)
-    parser.add_argument("--detectors", type=int, default=1000)
-    parser.add_argument("--max-attempts", type=int, default=None)
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--fold-seed", type=int, default=1)
+    parser.add_argument("--self-radius", type=float)
+    parser.add_argument("--detector-radius", type=float)
+    parser.add_argument("--detectors", dest="detector_count", type=int)
+    parser.add_argument("--max-attempts", type=int)
+    parser.add_argument("--folds", type=int)
+    parser.add_argument("--fold-seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Experiment flags are named after the config fields they set and have
+    no default of their own (``--out`` aside): a flag left out keeps the
+    field's default on ``ExperimentConfig``, ``DcaConfig`` or
+    ``NsaParams``."""
     parser = argparse.ArgumentParser(
         prog="dca-ids",
         description="Immune-inspired intrusion-detection experiments on "
@@ -80,31 +78,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("e1.1", help="base cell-population run")
-    _add_common(p)
-    _add_dca_params(p)
+    def experiment(name: str, experiment_id: str,
+                   help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help,
+                           argument_default=argparse.SUPPRESS)
+        p.set_defaults(experiment=experiment_id)
+        _add_common(p)
+        return p
 
-    p = sub.add_parser("e1.2", help="antigen multiplier sweep")
-    _add_common(p)
-    _add_dca_params(p)
-    p.add_argument("--multipliers", type=_int_list,
-                   default=DEFAULT_MULTIPLIERS)
+    _add_dca_params(experiment("e1.1", "E1.1", "base cell-population run"))
 
-    p = sub.add_parser("e1.3", help="moving-window sweep")
-    _add_common(p)
+    p = experiment("e1.2", "E1.2", "antigen multiplier sweep")
     _add_dca_params(p)
-    p.add_argument("--windows", type=_int_list, default=DEFAULT_WINDOWS)
+    p.add_argument("--multipliers", type=_int_list)
 
-    p = sub.add_parser("e2", help="negative-selection dimensionality sweep")
-    _add_common(p)
+    p = experiment("e1.3", "E1.3", "moving-window sweep")
+    _add_dca_params(p)
+    p.add_argument("--windows", type=_int_list)
+
+    p = experiment("e2", "E2", "negative-selection dimensionality sweep")
     _add_nsa_params(p)
-    p.add_argument("--dimensions", type=_int_list, default=DEFAULT_DIMENSIONS)
+    p.add_argument("--dimensions", type=_int_list)
 
-    p = sub.add_parser("custom", help="single run with explicit parameters")
-    _add_common(p)
+    p = experiment("custom", "custom", "single run with explicit parameters")
     _add_dca_params(p)
-    p.add_argument("--multiplier", type=int, default=1)
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--multiplier", type=int)
+    p.add_argument("--window", type=int)
 
     p = sub.add_parser("infogain", help="attribute information-gain report")
     p.add_argument("data", type=Path)
@@ -114,51 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _from_args(cls, args: argparse.Namespace, **given):
+    """``cls`` built from the parsed flags named after its fields; the
+    fields no flag set keep their defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names},
+               **given)
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    dca = DcaConfig()
-    if hasattr(args, "population"):
-        dca = DcaConfig(
-            population_size=args.population,
-            cells_per_step=args.cells_per_step,
-            threshold_low=args.threshold_low,
-            threshold_high=args.threshold_high,
-            mcav_threshold=args.mcav_threshold,
-        )
-    nsa = NsaParams()
-    if hasattr(args, "self_radius"):
-        nsa = NsaParams(
-            self_radius=args.self_radius,
-            detector_radius=args.detector_radius,
-            detector_count=args.detectors,
-            max_attempts=args.max_attempts,
-        )
-
-    experiment = {
-        "e1.1": "E1.1", "e1.2": "E1.2", "e1.3": "E1.3",
-        "e2": "E2", "custom": "custom",
-    }[args.command]
-
-    if args.command == "custom":
-        dca = dataclasses.replace(
-            dca, multiplier=args.multiplier, window=args.window
-        )
-
-    # Sweep options exist only on their own subcommands; the rest keep the
-    # config's defaults.
-    sweeps = {name: getattr(args, name) for name in (
-        "multipliers", "windows", "dimensions", "folds", "fold_seed",
-    ) if hasattr(args, name)}
-    return ExperimentConfig(
-        experiment=experiment,
-        data_path=args.data,
-        output_dir=args.out,
-        seeds=tuple(args.seeds),
-        dca=dca,
-        nsa=nsa,
-        range_config_path=args.ranges,
-        write_mcav_tables=not args.no_mcav_tables,
-        **sweeps,
-    )
+    return _from_args(ExperimentConfig, args,
+                      dca=_from_args(DcaConfig, args),
+                      nsa=_from_args(NsaParams, args))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ weighted count at the end of the run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -71,6 +72,9 @@ class DcaConfig:
             raise ConfigurationError(
                 "cells_per_step must be in [1, population_size]"
             )
+        if not (math.isfinite(self.threshold_low)
+                and math.isfinite(self.threshold_high)):
+            raise ConfigurationError("migration thresholds must be finite")
         if self.threshold_low > self.threshold_high:
             raise ConfigurationError("threshold range is inverted")
         if self.multiplier < 1:

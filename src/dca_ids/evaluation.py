@@ -27,13 +27,6 @@ class ConfusionRates:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    configuration: str
-    seed: int
-    rates: ConfusionRates
-
-
-@dataclass(frozen=True)
 class MannWhitneyResult:
     u_statistic: float
     p_value: float
@@ -76,18 +69,6 @@ def average_rates(rates: Sequence[ConfusionRates]) -> ConfusionRates:
         for i, v in enumerate(r.as_tuple()):
             sums[i] += v
     return ConfusionRates(*(s / n for s in sums))
-
-
-def average_runs(results: Sequence[RunResult]) -> ConfusionRates:
-    """Mean rates across the runs of one configuration."""
-    if not results:
-        raise ConfigurationError("cannot average an empty result sequence")
-    configurations = {r.configuration for r in results}
-    if len(configurations) != 1:
-        raise ConfigurationError(
-            f"results span multiple configurations: {sorted(configurations)}"
-        )
-    return average_rates([r.rates for r in results])
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from .errors import ConfigurationError, ReportError
 from .evaluation import (
     ConfusionRates,
     MannWhitneyResult,
-    RunResult,
-    average_runs,
+    average_rates,
     confusion_from_instances,
     mann_whitney_two_sided,
 )
@@ -53,11 +52,6 @@ C45_REFERENCE_FP_RATE = 0.008
 # Significance level of the Mann-Whitney comparison against the base run.
 ALPHA = 0.05
 
-DEFAULT_SEEDS = tuple(range(1, 11))
-DEFAULT_MULTIPLIERS = (5, 10, 50, 100)
-DEFAULT_WINDOWS = (2, 3, 5, 7, 10, 100, 1000)
-DEFAULT_DIMENSIONS = tuple(range(2, 11))
-
 EXPERIMENT_IDS = ("E1.1", "E1.2", "E1.3", "E2", "custom")
 
 
@@ -66,12 +60,12 @@ class ExperimentConfig:
     experiment: str
     data_path: Path
     output_dir: Path
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    seeds: tuple[int, ...] = tuple(range(1, 11))
     dca: DcaConfig = field(default_factory=DcaConfig)
     nsa: NsaParams = field(default_factory=NsaParams)
-    multipliers: tuple[int, ...] = DEFAULT_MULTIPLIERS
-    windows: tuple[int, ...] = DEFAULT_WINDOWS
-    dimensions: tuple[int, ...] = DEFAULT_DIMENSIONS
+    multipliers: tuple[int, ...] = (5, 10, 50, 100)
+    windows: tuple[int, ...] = (2, 3, 5, 7, 10, 100, 1000)
+    dimensions: tuple[int, ...] = tuple(range(2, 11))
     folds: int = 10
     fold_seed: int = 1
     range_config_path: Path | None = None
@@ -105,13 +99,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One averaged result row plus its per-seed breakdown."""
+    """One result row: its rates per seed, in the config's seed order, and
+    their mean."""
 
     category: str
     parameter: str
-    mean: ConfusionRates
-    per_seed: tuple[RunResult, ...]
+    per_seed: tuple[ConfusionRates, ...]
     mann_whitney: MannWhitneyResult | None = None
+
+    @property
+    def mean(self) -> ConfusionRates:
+        return average_rates(self.per_seed)
 
 
 @dataclass(frozen=True)
@@ -135,13 +133,6 @@ class AntigenTypes:
                    antigen_type_names(table))
 
 
-def _signal_config(config: ExperimentConfig,
-                   table: KddTable) -> SignalConfig:
-    if config.range_config_path is not None:
-        return load_signal_config(config.range_config_path)
-    return default_signal_config(table)
-
-
 def _dca_sweep_point(
     category: str,
     parameter: str,
@@ -150,7 +141,10 @@ def _dca_sweep_point(
     signals: np.ndarray,
     config: ExperimentConfig,
     mcav_dir: Path | None,
+    base: SweepPoint | None = None,
 ) -> SweepPoint:
+    """Run ``dca`` once per seed; with a ``base`` point, compare the per-seed
+    TP rates against it."""
     per_seed = []
     for seed in config.seeds:
         mcav, log = run_dca_with_log(stream.codes, signals, dca, seed)
@@ -158,7 +152,7 @@ def _dca_sweep_point(
             mcav > dca.mcav_threshold,
             stream.anomalous_share > dca.mcav_threshold, stream.counts,
         )
-        per_seed.append(RunResult(f"{category}:{parameter}", seed, rates))
+        per_seed.append(rates)
         if mcav_dir is not None:
             safe_param = parameter.replace("=", "_")
             write_mcav_table(
@@ -168,21 +162,27 @@ def _dca_sweep_point(
             )
         logger.info("%s %s seed=%d tp=%.4f fp=%s", category, parameter, seed,
                     rates.tp_rate, _fmt(rates.fp_rate))
-    return SweepPoint(category, parameter, average_runs(per_seed),
-                      tuple(per_seed))
-
-
-def _with_mann_whitney(point: SweepPoint, base: SweepPoint) -> SweepPoint:
-    test = mann_whitney_two_sided(
-        [r.rates.tp_rate for r in point.per_seed],
-        [r.rates.tp_rate for r in base.per_seed],
+    test = None if base is None else mann_whitney_two_sided(
+        [r.tp_rate for r in per_seed], [r.tp_rate for r in base.per_seed],
         ALPHA,
     )
-    return dataclasses.replace(point, mann_whitney=test)
+    return SweepPoint(category, parameter, tuple(per_seed), test)
 
 
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
-    """Execute one experiment family and write its reports."""
+    """Execute one experiment family and write its reports.
+
+    The range file and E2's attribute list are checked before the data file
+    is read."""
+    ranges = (None if config.range_config_path is None
+              else load_signal_config(config.range_config_path))
+    attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
+                  else ranges.attribute_names)
+    if config.experiment == "E2" and max(config.dimensions) > len(attributes):
+        raise ConfigurationError(
+            f"dimension {max(config.dimensions)} exceeds the "
+            f"{len(attributes)} configured attributes"
+        )
     table = read_kdd_file(config.data_path)
     if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
@@ -193,69 +193,57 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         mcav_dir.mkdir(exist_ok=True)
 
     if config.experiment == "E2":
-        points = _run_e2(config, table)
+        points = _run_e2(config, table, attributes)
     else:
-        points = _run_e1(config, table, mcav_dir)
+        points = _run_e1(config, table, ranges, mcav_dir)
 
     emit_report(points, config, out_dir)
     return points
 
 
 def _run_e1(config: ExperimentConfig, table: KddTable,
+            ranges: SignalConfig | None,
             mcav_dir: Path | None) -> list[SweepPoint]:
-    ranges = _signal_config(config, table)
-    stream = AntigenTypes.of(table)
-    signals = signal_stream(table, ranges)
-
-    base_dca = dataclasses.replace(config.dca, multiplier=1, window=1)
-    base = _dca_sweep_point("E1.1", "-", base_dca, stream, signals, config,
-                            mcav_dir)
-    points = [base]
-
-    if config.experiment == "E1.1":
-        return points
+    """The base run, then one point per (parameter, DcaConfig) of the
+    family's sweep, each compared against the base."""
+    dca = config.dca
     if config.experiment == "E1.2":
-        for k in config.multipliers:
-            dca = dataclasses.replace(config.dca, multiplier=k, window=1)
-            point = _dca_sweep_point("E1.2", str(k), dca, stream, signals,
-                                     config, mcav_dir)
-            points.append(_with_mann_whitney(point, base))
+        sweep = [(str(k), dataclasses.replace(dca, multiplier=k, window=1))
+                 for k in config.multipliers]
     elif config.experiment == "E1.3":
-        for w in config.windows:
-            dca = dataclasses.replace(config.dca, multiplier=1, window=w)
-            point = _dca_sweep_point("E1.3", str(w), dca, stream, signals,
-                                     config, mcav_dir)
-            points.append(_with_mann_whitney(point, base))
-    else:  # custom: run the configuration exactly as given
-        point = _dca_sweep_point(
-            "custom",
-            f"k={config.dca.multiplier},w={config.dca.window}",
-            config.dca, stream, signals, config, mcav_dir,
-        )
-        points = [base, _with_mann_whitney(point, base)]
-    return points
+        sweep = [(str(w), dataclasses.replace(dca, multiplier=1, window=w))
+                 for w in config.windows]
+    elif config.experiment == "custom":  # the configuration exactly as given
+        sweep = [(f"k={dca.multiplier},w={dca.window}", dca)]
+    else:
+        sweep = []
+
+    stream = AntigenTypes.of(table)
+    signals = signal_stream(
+        table, default_signal_config(table) if ranges is None else ranges
+    )
+    base = _dca_sweep_point(
+        "E1.1", "-", dataclasses.replace(dca, multiplier=1, window=1),
+        stream, signals, config, mcav_dir,
+    )
+    return [base] + [
+        _dca_sweep_point(config.experiment, parameter, point_dca, stream,
+                         signals, config, mcav_dir, base)
+        for parameter, point_dca in sweep
+    ]
 
 
-def _run_e2(config: ExperimentConfig, table: KddTable) -> list[SweepPoint]:
-    ranges = _signal_config(config, table)
-    attributes = ranges.attribute_names or DEFAULT_SIGNAL_ATTRIBUTES
+def _run_e2(config: ExperimentConfig, table: KddTable,
+            attributes: Sequence[str]) -> list[SweepPoint]:
     folds = kfold_split(len(table), config.folds, config.fold_seed)
     points = []
     for d in config.dimensions:
-        if d > len(attributes):
-            raise ConfigurationError(
-                f"dimension {d} exceeds the {len(attributes)} configured "
-                f"attributes"
-            )
-        rates = run_nsa(table, attributes[:d], folds, config.nsa,
-                        config.seeds)
-        per_seed = []
-        for seed, mean in zip(config.seeds, rates):
-            per_seed.append(RunResult(f"E2:{d}", seed, mean))
+        per_seed = tuple(run_nsa(table, attributes[:d], folds, config.nsa,
+                                 config.seeds))
+        for seed, rates in zip(config.seeds, per_seed):
             logger.info("E2 d=%d seed=%d tp=%s fp=%s", d, seed,
-                        _fmt(mean.tp_rate), _fmt(mean.fp_rate))
-        points.append(SweepPoint("E2", str(d), average_runs(per_seed),
-                                 tuple(per_seed)))
+                        _fmt(rates.tp_rate), _fmt(rates.fp_rate))
+        points.append(SweepPoint("E2", str(d), per_seed))
     return points
 
 
@@ -295,10 +283,9 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
 
     lines = ["category\tparameter\tseed\ttp_rate\ttn_rate\tfp_rate\tfn_rate"]
     for p in points:
-        for run in p.per_seed:
-            r = run.rates
+        for seed, r in zip(config.seeds, p.per_seed, strict=True):
             lines.append(
-                f"{p.category}\t{p.parameter}\t{run.seed}\t"
+                f"{p.category}\t{p.parameter}\t{seed}\t"
                 f"{_fmt(r.tp_rate)}\t{_fmt(r.tn_rate)}\t"
                 f"{_fmt(r.fp_rate)}\t{_fmt(r.fn_rate)}"
             )

@@ -26,7 +26,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SELF_RADIUS = 0.1
 DEFAULT_DETECTOR_RADIUS = 0.1
-DEFAULT_DETECTOR_COUNT = 1000
 
 
 def _grid_size(count: int, dimension: int) -> int:
@@ -180,8 +179,18 @@ def classify_points(
 class NsaParams:
     self_radius: float = DEFAULT_SELF_RADIUS
     detector_radius: float = DEFAULT_DETECTOR_RADIUS
-    detector_count: int = DEFAULT_DETECTOR_COUNT
+    detector_count: int = 1000
     max_attempts: int | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.self_radius < math.inf:
+            raise ConfigurationError("self radius must be finite and >= 0")
+        if not 0 < self.detector_radius < math.inf:
+            raise ConfigurationError("detector radius must be finite and > 0")
+        if self.detector_count < 1:
+            raise ConfigurationError("detector count must be >= 1")
+        if self.max_attempts is not None and self.max_attempts < 1:
+            raise ConfigurationError("max attempts must be >= 1")
 
 
 def run_nsa(

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gzip
 import math
 import os
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import dca_ids
-from dca_ids.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE, main
-from dca_ids.evaluation import (ConfusionRates, RunResult,
-                                 mann_whitney_two_sided)
+from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
+                         _experiment_config, build_parser, main)
+from dca_ids.evaluation import ConfusionRates, mann_whitney_two_sided
 from dca_ids.experiments import ExperimentConfig, SweepPoint, emit_report
 
 from conftest import anomalous_line, make_line, normal_line
@@ -134,6 +136,117 @@ class TestInfogain:
         assert by_name["num_outbound_cmds"] == 0.0
 
 
+COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "--no-mcav-tables", "-v",
+                  "--verbose"]
+DCA_OPTIONS = ["--population", "--cells-per-step", "--threshold-low",
+               "--threshold-high", "--mcav-threshold"]
+NSA_OPTIONS = ["--self-radius", "--detector-radius", "--detectors",
+               "--max-attempts", "--folds", "--fold-seed"]
+
+# Every subcommand's option strings. Adding or dropping a flag is a
+# deliberate change of the command line and updates this table with it.
+OPTIONS = {
+    "e1.1": COMMON_OPTIONS + DCA_OPTIONS,
+    "e1.2": COMMON_OPTIONS + DCA_OPTIONS + ["--multipliers"],
+    "e1.3": COMMON_OPTIONS + DCA_OPTIONS + ["--windows"],
+    "e2": COMMON_OPTIONS + NSA_OPTIONS + ["--dimensions"],
+    "custom": COMMON_OPTIONS + DCA_OPTIONS + ["--multiplier", "--window"],
+    "infogain": ["--out", "-v", "--verbose"],
+}
+
+EXPERIMENT_IDS = {"e1.1": "E1.1", "e1.2": "E1.2", "e1.3": "E1.3", "e2": "E2",
+                  "custom": "custom"}
+
+# flag: (its argument, the config field it sets, "dca." or "nsa." for the
+# engine configs, and the value it must parse to)
+FLAG_FIELDS = {
+    "--out": ("out", "output_dir", Path("out")),
+    "--seeds": ("3,4", "seeds", (3, 4)),
+    "--ranges": ("r.conf", "range_config_path", Path("r.conf")),
+    "--no-mcav-tables": (None, "write_mcav_tables", False),
+    "--population": ("50", "dca.population_size", 50),
+    "--cells-per-step": ("5", "dca.cells_per_step", 5),
+    "--threshold-low": ("50.5", "dca.threshold_low", 50.5),
+    "--threshold-high": ("400.5", "dca.threshold_high", 400.5),
+    "--mcav-threshold": ("0.5", "dca.mcav_threshold", 0.5),
+    "--multipliers": ("2,3", "multipliers", (2, 3)),
+    "--windows": ("4,6", "windows", (4, 6)),
+    "--multiplier": ("3", "dca.multiplier", 3),
+    "--window": ("2", "dca.window", 2),
+    "--self-radius": ("0.2", "nsa.self_radius", 0.2),
+    "--detector-radius": ("0.05", "nsa.detector_radius", 0.05),
+    "--detectors": ("10", "nsa.detector_count", 10),
+    "--max-attempts": ("7", "nsa.max_attempts", 7),
+    "--folds": ("4", "folds", 4),
+    "--fold-seed": ("3", "fold_seed", 3),
+    "--dimensions": ("2,3", "dimensions", (2, 3)),
+}
+
+
+def parsed_config(argv):
+    return _experiment_config(build_parser().parse_args(argv))
+
+
+def default_config(command):
+    return ExperimentConfig(EXPERIMENT_IDS[command], Path("data.kdd"),
+                            Path("results"))
+
+
+class TestFlags:
+    def test_option_strings_pinned(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        found = {
+            name: sorted(option for action in parser._actions
+                         for option in action.option_strings
+                         if option not in ("-h", "--help"))
+            for name, parser in sub.choices.items()
+        }
+        assert found == {name: sorted(options)
+                         for name, options in OPTIONS.items()}
+
+    @pytest.mark.parametrize("command", EXPERIMENT_IDS)
+    def test_data_alone_gives_the_dataclass_defaults(self, command):
+        assert parsed_config([command, "data.kdd"]) == default_config(command)
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in EXPERIMENT_IDS
+        for flag in OPTIONS[command] if flag not in ("-v", "--verbose")
+    ])
+    def test_flag_sets_its_field(self, command, flag):
+        argument, field, value = FLAG_FIELDS[flag]
+        argv = [command, "data.kdd", flag]
+        if argument is not None:
+            argv.append(argument)
+        expected = default_config(command)
+        owner, _, name = field.rpartition(".")
+        if owner:
+            value = dataclasses.replace(getattr(expected, owner),
+                                        **{name: value})
+            name = owner
+        assert parsed_config(argv) == dataclasses.replace(expected,
+                                                          **{name: value})
+
+    @pytest.mark.parametrize("argv,changes", [
+        (["e1.2", "data.kdd", "--out", "o", "--seeds", "1,2",
+          "--multipliers", "100"],
+         {"output_dir": Path("o"), "seeds": (1, 2), "multipliers": (100,)}),
+        (["e2", "data.kdd", "--out", "o", "--seeds", "1,2,3",
+          "--dimensions", "2,3,4,5,6,7,8,9,10"],
+         {"output_dir": Path("o"), "seeds": (1, 2, 3),
+          "dimensions": tuple(range(2, 11))}),
+    ], ids=["e1-sweep", "e2-nsa"])
+    def test_benchmark_argv(self, argv, changes):
+        assert parsed_config(argv) == dataclasses.replace(
+            default_config(argv[0]), **changes)
+
+    def test_benchmark_infogain_argv(self):
+        args = build_parser().parse_args(
+            ["infogain", "data.kdd", "--out", "o/infogain.tsv"])
+        assert (args.data, args.out) == (Path("data.kdd"),
+                                         Path("o/infogain.tsv"))
+
+
 class TestErrorPaths:
     def test_missing_data_file(self, tmp_path):
         code = main(["e1.1", str(tmp_path / "absent.kdd"),
@@ -198,10 +311,28 @@ class TestErrorPaths:
         (["e2", "--folds", "1"], "folds must be >= 2"),
         (["e2", "--fold-seed", "-1"], "seeds must be >= 0"),
         (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
+        (["e1.1", "--threshold-low", "nan"],
+         "migration thresholds must be finite"),
+        (["e1.1", "--threshold-low", "inf", "--threshold-high", "inf"],
+         "migration thresholds must be finite"),
+        (["e2", "--self-radius", "nan"], "self radius must be finite"),
+        (["e2", "--self-radius", "-0.1"], "self radius must be finite"),
+        (["e2", "--detector-radius", "-0.1"],
+         "detector radius must be finite and > 0"),
+        (["e2", "--detector-radius", "inf"],
+         "detector radius must be finite and > 0"),
+        (["e2", "--detectors", "0"], "detector count must be >= 1"),
+        (["e2", "--max-attempts", "-5"], "max attempts must be >= 1"),
+        (["e2", "--dimensions", "2,11"],
+         "dimension 11 exceeds the 10 configured attributes"),
     ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
             "repeated-dimension", "repeated-multiplier", "repeated-window",
             "zero-multiplier", "one-fold", "negative-fold-seed",
-            "negative-seed"])
+            "negative-seed", "nan-threshold", "inf-thresholds",
+            "nan-self-radius", "negative-self-radius",
+            "negative-detector-radius", "inf-detector-radius",
+            "zero-detectors", "negative-max-attempts",
+            "dimension-beyond-attributes"])
     def test_sweep_options_checked_before_the_data_file(self, tmp_path,
                                                         capsys, argv,
                                                         message):
@@ -210,6 +341,25 @@ class TestErrorPaths:
         command, *options = argv
         code = main([command, str(tmp_path / "absent.kdd"),
                      "--out", str(tmp_path / "out"), *options])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ranges,argv,message", [
+        ("count DS 10 5 +\n", ["e1.1"],
+         "count: lower bound 10.0 must be below"),
+        ("count DS 10 5 +\n", ["e2"], "count: lower bound 10.0 must be below"),
+        ("serror_rate PAMP 0 1 +\ncount DS 0 100 +\n",
+         ["e2", "--dimensions", "3"],
+         "dimension 3 exceeds the 2 configured attributes"),
+    ], ids=["e1-bad-range", "e2-bad-range", "e2-dimension-beyond-ranges"])
+    def test_range_file_checked_before_the_data_file(self, tmp_path, capsys,
+                                                     ranges, argv, message):
+        path = tmp_path / "ranges.conf"
+        path.write_text(ranges)
+        command, *options = argv
+        code = main([command, str(tmp_path / "absent.kdd"),
+                     "--out", str(tmp_path / "out"), "--ranges", str(path),
+                     *options])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
@@ -302,11 +452,11 @@ class TestReports:
         # A sweep point whose per-seed TP rates are all NaN (no seed
         # presented an anomalous type) has nothing to rank.
         rates = ConfusionRates(math.nan, 1.0, 0.0, math.nan)
-        base = SweepPoint("E1.1", "-", rates, (RunResult("E1.1:-", 1, rates),))
-        point = SweepPoint("E1.2", "5", rates,
-                           (RunResult("E1.2:5", 1, rates),),
+        base = SweepPoint("E1.1", "-", (rates,))
+        point = SweepPoint("E1.2", "5", (rates,),
                            mann_whitney_two_sided([math.nan], [0.5]))
-        config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path)
+        config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path,
+                                  seeds=(1,))
         emit_report([base, point], config, tmp_path)
         assert read_rows(tmp_path / "mannwhitney.tsv") == [{
             "category": "E1.2", "parameter": "5", "u_statistic": "NA",

@@ -8,10 +8,8 @@ from dca_ids.dataset import parse_kdd_lines
 from dca_ids.errors import ConfigurationError
 from dca_ids.evaluation import (
     ConfusionRates,
-    RunResult,
     _exact_u_distribution,
     average_rates,
-    average_runs,
     confusion_from_instances,
     mann_whitney_two_sided,
 )
@@ -121,43 +119,33 @@ class TestConfusion:
 class TestAverage:
     def test_mean_of_constants(self):
         r = ConfusionRates(0.7, 1.0, 0.0, 0.3)
-        results = [RunResult("c", s, r) for s in range(10)]
-        assert average_runs(results).as_tuple() == pytest.approx(r.as_tuple())
+        assert average_rates([r] * 10).as_tuple() == pytest.approx(
+            r.as_tuple())
 
     def test_mean(self):
-        results = [
-            RunResult("c", 1, ConfusionRates(0.7, 1.0, 0.0, 0.3)),
-            RunResult("c", 2, ConfusionRates(0.8, 1.0, 0.0, 0.2)),
+        rates = [
+            ConfusionRates(0.7, 1.0, 0.0, 0.3),
+            ConfusionRates(0.8, 1.0, 0.0, 0.2),
         ]
-        assert average_runs(results).tp_rate == pytest.approx(0.75)
+        assert average_rates(rates).tp_rate == pytest.approx(0.75)
 
     def test_permutation_invariant(self):
-        results = [
-            RunResult("c", s, ConfusionRates(0.1 * s, 1.0, 0.0, 1 - 0.1 * s))
-            for s in range(5)
-        ]
-        forward = average_runs(results).as_tuple()
-        backward = average_runs(results[::-1]).as_tuple()
+        rates = [ConfusionRates(0.1 * s, 1.0, 0.0, 1 - 0.1 * s)
+                 for s in range(5)]
+        forward = average_rates(rates).as_tuple()
+        backward = average_rates(rates[::-1]).as_tuple()
         assert forward == pytest.approx(backward)
 
     def test_nan_propagates(self):
-        results = [
-            RunResult("c", 1, ConfusionRates(0.5, math.nan, math.nan, 0.5)),
-            RunResult("c", 2, ConfusionRates(0.7, 1.0, 0.0, 0.3)),
+        rates = [
+            ConfusionRates(0.5, math.nan, math.nan, 0.5),
+            ConfusionRates(0.7, 1.0, 0.0, 0.3),
         ]
-        assert math.isnan(average_runs(results).tn_rate)
+        assert math.isnan(average_rates(rates).tn_rate)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            average_runs([])
-
-    def test_mixed_configurations_rejected(self):
-        results = [
-            RunResult("a", 1, ConfusionRates(0.5, 0.5, 0.5, 0.5)),
-            RunResult("b", 1, ConfusionRates(0.5, 0.5, 0.5, 0.5)),
-        ]
-        with pytest.raises(ConfigurationError):
-            average_runs(results)
+            average_rates([])
 
 
 class TestMannWhitney:
