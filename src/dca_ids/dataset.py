@@ -283,11 +283,13 @@ def minmax_fit(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def minmax_apply(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Map into [0,1] with clamping; degenerate columns (max == min) map to 0."""
-    values = np.asarray(values, dtype=float)
     span = hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(span > 0, (values - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return np.clip(scaled, 0.0, 1.0)
+    scaled = np.subtract(values, lo, dtype=float)  # the one allocation
+    # A subnormal span can overflow the quotient; the clip below caps it.
+    with np.errstate(over="ignore"):
+        np.divide(scaled, np.where(span > 0, span, 1.0), out=scaled)
+    np.copyto(scaled, 0.0, where=~(span > 0))
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def attribute_matrix(table: KddTable,

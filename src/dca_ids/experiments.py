@@ -236,14 +236,14 @@ def _run_e1(config: ExperimentConfig, table: KddTable,
 def _run_e2(config: ExperimentConfig, table: KddTable,
             attributes: Sequence[str]) -> list[SweepPoint]:
     folds = kfold_split(len(table), config.folds, config.fold_seed)
+    per_dimension = run_nsa(table, attributes, config.dimensions, folds,
+                            config.nsa, config.seeds)
     points = []
-    for d in config.dimensions:
-        per_seed = tuple(run_nsa(table, attributes[:d], folds, config.nsa,
-                                 config.seeds))
+    for d, per_seed in zip(config.dimensions, per_dimension):
         for seed, rates in zip(config.seeds, per_seed):
             logger.info("E2 d=%d seed=%d tp=%s fp=%s", d, seed,
                         _fmt(rates.tp_rate), _fmt(rates.fp_rate))
-        points.append(SweepPoint("E2", str(d), per_seed))
+        points.append(SweepPoint("E2", str(d), tuple(per_seed)))
     return points
 
 

@@ -14,18 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (
-    KddTable,
-    attribute_matrix,
-    minmax_fit,
-    minmax_apply,
-)
+from .dataset import KddTable, attribute_matrix, minmax_apply, minmax_fit
 from .errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SELF_RADIUS = 0.1
 DEFAULT_DETECTOR_RADIUS = 0.1
+# Candidates drawn per batch, and the most cells the covered-cell grid has,
+# so building the grid costs at most one batch of tree queries.
+_BATCH = 1024
+_ATTEMPTS_PER_DETECTOR = 100
 
 
 def _grid_size(count: int, dimension: int) -> int:
@@ -54,100 +53,84 @@ def _covered_cells(tree, cells_per_axis: int, dimension: int,
     With ``margin`` the censor radius less the cell's half diagonal (and
     less 1e-9, which absorbs float rounding in the distances and in
     ``_cell_of``), every point of a marked cell lies strictly within the
-    censor radius of that self point, by the triangle inequality.
+    censor radius of that self point, by the triangle inequality. A margin
+    <= 0 marks no cell; the bound is clamped at 0 because scipy reads a
+    negative ``distance_upper_bound`` as no bound.
     """
     shape = (cells_per_axis,) * dimension
     centres = ((np.indices(shape).reshape(dimension, -1).T + 0.5)
                / cells_per_axis)
-    distances, _ = tree.query(centres, k=1, distance_upper_bound=margin)
+    distances, _ = tree.query(centres, k=1,
+                              distance_upper_bound=max(margin, 0.0))
     return (distances < margin).reshape(shape)
 
 
-def generate_detectors(
-    self_points: np.ndarray,
-    count: int,
-    dimension: int,
-    seed: int,
-    max_attempts: int | None = None,
-    self_radius: float = DEFAULT_SELF_RADIUS,
-    detector_radius: float = DEFAULT_DETECTOR_RADIUS,
-) -> np.ndarray:
-    """Draw detector centers uniformly in [0,1]^d, censored against self.
+class Censor:
+    """The censoring rule of one self set, built once and shared by every
+    seed: a candidate is rejected when a self point lies closer than
+    self_radius + detector_radius.
 
-    A candidate is rejected when its distance to any self point falls below
-    self_radius + detector_radius. Stops at ``count`` detectors or when the
-    attempt budget (default 100 x count) runs out, returning fewer with a
-    warning. Candidates are committed in draw order, so the result is
-    deterministic per seed.
+    The self points go into one kd-tree. [0,1]^d is split into g^d cells, g
+    the largest integer with g^d <= ``_BATCH``, and candidates in the cells
+    the self set wholly covers (``_covered_cells``) are rejected without a
+    tree query. Where the half diagonal leaves no margin (d >= 4 at the
+    default radii) the grid is one cell, never covered. The verdicts are
+    bit-identical to querying every candidate.
+    """
 
-    Once the candidates rejected so far number at least g^d, where g is the
-    largest integer with g^d <= ``count``, the call splits [0,1]^d into g^d
-    cells and marks those the self set wholly covers (``_covered_cells``);
-    later candidates in a covered cell are rejected without a kd-tree query.
-    The grid costs one query per cell, so a call that builds it has already
-    spent at least as many queries on rejected candidates, and a call whose
-    self set rejects few candidates never builds it. It is skipped when the
-    self set is empty, g < 2 or the cell half diagonal is at least the
-    censor radius (d >= 4 at the defaults). The cell test rejects only
-    candidates the query would reject, so the detectors are bit-identical to
-    querying every candidate.
+    def __init__(self, self_points: np.ndarray, self_radius: float,
+                 detector_radius: float):
+        self_points = np.asarray(self_points, dtype=float)
+        if self_points.ndim != 2 or self_points.shape[1] < 1:
+            raise ValueError("self points must have shape (n, d), d >= 1, "
+                             f"got {self_points.shape}")
+        from scipy.spatial import cKDTree
+
+        self.dimension = d = self_points.shape[1]
+        self.radius = self_radius + detector_radius
+        self.tree = cKDTree(self_points)
+        g = _grid_size(_BATCH, d)
+        margin = self.radius - math.sqrt(d) / (2 * g) - 1e-9
+        self.cells_per_axis = g if margin > 0 else 1
+        self.covered = _covered_cells(self.tree, self.cells_per_axis, d,
+                                      margin)
+
+    def admits(self, candidates: np.ndarray) -> np.ndarray:
+        """Bool mask over the candidates, in draw order: True where no self
+        point lies within the censor radius."""
+        keep = ~self.covered[_cell_of(candidates, self.cells_per_axis)]
+        if keep.any():
+            # Self points beyond the censor radius come back as inf, which
+            # passes the test below exactly as their true distance would.
+            distances, _ = self.tree.query(candidates[keep], k=1,
+                                           distance_upper_bound=self.radius)
+            keep[keep] = distances >= self.radius
+        return keep
+
+
+def generate_detectors(censor: Censor, count: int, seed: int,
+                       max_attempts: int | None = None) -> np.ndarray:
+    """Draw detector centres uniformly in [0,1]^d, keeping those the censor
+    admits.
+
+    Stops at ``count`` detectors or when the attempt budget (default
+    100 x count) runs out, returning fewer. Candidates are drawn in batches
+    of ``_BATCH`` and committed in draw order, so the result is deterministic
+    per seed.
     """
     if count < 1:
         raise ConfigurationError(f"detector count must be >= 1, got {count}")
-    if dimension < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
-    self_points = np.asarray(self_points, dtype=float)
-    if self_points.ndim != 2 or self_points.shape[1] != dimension:
-        raise ValueError(
-            f"self points must have shape (n, {dimension}), "
-            f"got {self_points.shape}"
-        )
     if max_attempts is None:
-        max_attempts = 100 * count
-    from scipy.spatial import cKDTree
-
+        max_attempts = _ATTEMPTS_PER_DETECTOR * count
     rng = np.random.default_rng(seed)
-    tree = cKDTree(self_points) if len(self_points) else None
-    censor_radius = self_radius + detector_radius
-    cells_per_axis = _grid_size(count, dimension)
-    margin = (censor_radius - math.sqrt(dimension) / (2 * cells_per_axis)
-              - 1e-9)
-    # rejected candidates after which the covered-cell grid is built
-    build_grid_after = (cells_per_axis ** dimension
-                        if tree is not None and cells_per_axis >= 2
-                        and margin > 0 else math.inf)
-    covered = None
-
-    accepted = [np.empty((0, dimension))]
-    found = 0
-    attempts = 0
-    batch = 1024
+    accepted = [np.empty((0, censor.dimension))]
+    found = attempts = 0
     while found < count and attempts < max_attempts:
-        if covered is None and attempts - found >= build_grid_after:
-            covered = _covered_cells(tree, cells_per_axis, dimension, margin)
-        size = min(batch, max_attempts - attempts)
-        candidates = rng.random((size, dimension))
+        size = min(_BATCH, max_attempts - attempts)
+        candidates = rng.random((size, censor.dimension))
         attempts += size
-        if tree is not None:
-            keep = np.ones(size, dtype=bool)
-            if covered is not None:
-                keep = ~covered[_cell_of(candidates, cells_per_axis)]
-            if keep.any():
-                # Self points beyond the censor radius come back as inf,
-                # which passes the test below exactly as their true distance
-                # would.
-                distances, _ = tree.query(candidates[keep], k=1,
-                                          distance_upper_bound=censor_radius)
-                # One mask over the whole batch keeps survivors in draw order.
-                keep[keep] = distances >= censor_radius
-            candidates = candidates[keep]
-        accepted.append(candidates[:count - found])
+        accepted.append(candidates[censor.admits(candidates)][:count - found])
         found += len(accepted[-1])
-    if found < count:
-        logger.warning(
-            "detector generation exhausted %d attempts with %d/%d detectors "
-            "(dimension %d)", max_attempts, found, count, dimension,
-        )
     return np.concatenate(accepted)
 
 
@@ -159,8 +142,6 @@ def classify_points(
     """Bool mask over the points, True (anomalous) iff a point strictly
     matches at least one detector."""
     points = np.asarray(points, dtype=float)
-    if len(detectors) == 0:
-        return np.zeros(len(points), dtype=bool)
     if points.shape[1] != detectors.shape[1]:
         raise ValueError(
             f"dimension mismatch: points {points.shape[1]}d, "
@@ -168,7 +149,8 @@ def classify_points(
         )
     from scipy.spatial import cKDTree
 
-    # Unmatched points come back as inf, which fails the strict test below.
+    # Unmatched points, and every point when there is no detector, come back
+    # as inf, which fails the strict test below.
     distances, _ = cKDTree(detectors).query(
         points, k=1, distance_upper_bound=detector_radius
     )
@@ -196,29 +178,33 @@ class NsaParams:
 def run_nsa(
     table: KddTable,
     attributes: Sequence[str],
+    dimensions: Sequence[int],
     folds: np.ndarray,
     params: NsaParams,
     seeds: Sequence[int],
-):
-    """Full cross-validated run over the given attribute subset, once per
-    seed.
+) -> list[list]:
+    """Cross-validated runs over the first d attributes, for each dimension
+    d and seed, looping fold, then dimension, then seed.
 
-    Nothing before detector generation depends on the seed, so the
-    attribute matrix is extracted once and each fold's state is built once
-    for all seeds: min-max bounds fit on the fold's training rows and
-    applied to the whole matrix, the normal training rows as the self set
-    and the test rows to classify. Each seed then censors its own detectors
-    against that self set and classifies the test rows. Returns one
-    fold-averaged ConfusionRates per seed, in seed order. Folds without any
-    normal training instance are skipped with one warning each.
+    Each piece of state is built once, at the level it depends on: the
+    attribute matrix of the first max(dimensions) attributes once; per fold,
+    min-max bounds fit on the training rows and applied to the whole matrix
+    (per column, so a dimension d takes the first d columns); per (fold, d),
+    one ``Censor`` over the normal training rows. Returns, per dimension, one
+    fold-averaged ConfusionRates per seed, in seed order. A fold without any
+    normal training instance is skipped with one warning; runs that exhaust
+    their attempt budget get one warning per dimension.
     """
     from .evaluation import average_rates, confusion_from_instances
 
-    if not attributes or not seeds:
-        raise ConfigurationError("need at least one attribute and one seed")
-    matrix = attribute_matrix(table, attributes)
+    if (not seeds or not dimensions or min(dimensions) < 1
+            or max(dimensions) > len(attributes)):
+        raise ConfigurationError("need a seed and dimensions in 1..attributes")
+    matrix = attribute_matrix(table, attributes[:max(dimensions)])
     folds = np.asarray(folds)
-    per_seed = [[] for _ in seeds]
+    per_dimension = [[[] for _ in seeds] for _ in dimensions]
+    # detectors returned by the (fold, seed) runs that came up short
+    short = [[] for _ in dimensions]
     for fold in range(int(folds.max()) + 1):
         test_mask = folds == fold
         self_mask = ~test_mask & ~table.anomalous
@@ -231,19 +217,28 @@ def run_nsa(
         self_points = scaled[self_mask]
         test_points = scaled[test_mask]
         truth = table.anomalous[test_mask]
-        for per_fold, seed in zip(per_seed, seeds):
-            detectors = generate_detectors(
-                self_points,
-                params.detector_count,
-                len(attributes),
-                seed,
-                params.max_attempts,
-                params.self_radius,
-                params.detector_radius,
-            )
-            predictions = classify_points(test_points, detectors,
-                                          params.detector_radius)
-            per_fold.append(confusion_from_instances(predictions, truth))
-    if not per_seed[0]:
+        for d, per_seed, returned in zip(dimensions, per_dimension, short):
+            censor = Censor(self_points[:, :d], params.self_radius,
+                            params.detector_radius)
+            for per_fold, seed in zip(per_seed, seeds):
+                detectors = generate_detectors(censor, params.detector_count,
+                                               seed, params.max_attempts)
+                if len(detectors) < params.detector_count:
+                    returned.append(len(detectors))
+                predictions = classify_points(test_points[:, :d], detectors,
+                                              params.detector_radius)
+                per_fold.append(confusion_from_instances(predictions, truth))
+    if not per_dimension[0][0]:
         raise ConfigurationError("every fold was skipped; no results")
-    return [average_rates(per_fold) for per_fold in per_seed]
+    budget = (params.max_attempts
+              or _ATTEMPTS_PER_DETECTOR * params.detector_count)
+    for d, per_seed, returned in zip(dimensions, per_dimension, short):
+        if returned:
+            logger.warning(
+                "dimension %d: detector generation exhausted %d attempts in "
+                "%d of %d (fold, seed) runs, the fewest with %d/%d detectors",
+                d, budget, len(returned), len(per_seed) * len(per_seed[0]),
+                min(returned), params.detector_count,
+            )
+    return [[average_rates(per_fold) for per_fold in per_seed]
+            for per_seed in per_dimension]

@@ -134,15 +134,13 @@ def test_criterion_3_large_window_degradation(kdd):
 def test_criterion_4_negative_selection_collapse(kdd):
     attributes = kdd.ranges.attribute_names
     folds = kfold_split(len(kdd.table), 10, seed=1)
-    params = NsaParams()
-    by_dimension = {}
-    for d in range(2, 11):
-        per_seed = run_nsa(kdd.table, attributes[:d], folds, params,
-                           seeds=SEEDS)
-        by_dimension[d] = (
-            float(np.mean([r.tp_rate for r in per_seed])),
-            float(np.mean([r.fp_rate for r in per_seed])),
-        )
+    dimensions = range(2, 11)
+    by_dimension = {
+        d: (float(np.mean([r.tp_rate for r in per_seed])),
+            float(np.mean([r.fp_rate for r in per_seed])))
+        for d, per_seed in zip(dimensions, run_nsa(
+            kdd.table, attributes, dimensions, folds, NsaParams(), SEEDS))
+    }
     tp2, fp2 = by_dimension[2]
     low_d_ok = tp2 >= 0.90 and abs(fp2 - 0.37) <= 0.12
     high_d_ok = all(by_dimension[d] == (0.0, 0.0) for d in range(6, 11))
@@ -257,12 +255,12 @@ class TestCriterion5:
         check("5f (Mann-Whitney exact enumeration, n<=7)", ok)
 
     def test_nsa_censoring_and_monotonicity(self):
-        from dca_ids.nsa import classify_points, generate_detectors
+        from dca_ids.nsa import Censor, classify_points, generate_detectors
 
         rng = np.random.default_rng(5)
         self_points = rng.random((30, 3))
-        detectors = generate_detectors(self_points, 40, 3, seed=6,
-                                       max_attempts=5000)
+        detectors = generate_detectors(Censor(self_points, 0.1, 0.1), 40,
+                                       seed=6, max_attempts=5000)
         censored_ok = all(
             np.linalg.norm(center - point) >= 0.2
             for center in detectors for point in self_points

@@ -1,4 +1,5 @@
 import gzip
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ class TestMinMax:
         test = np.array([[12.0], [-3.0]])
         _, test_norm = self.normalize(train, test)
         assert test_norm.ravel().tolist() == [1.0, 0.0]
+
+    def test_subnormal_span_clips_without_a_warning(self):
+        train = np.array([[0.0], [5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_norm, test_norm = self.normalize(train, np.array([[1.0]]))
+        assert train_norm.ravel().tolist() == [0.0, 1.0]
+        assert test_norm.ravel().tolist() == [1.0]
+
+    def test_bit_identical_to_the_masked_quotient(self):
+        # degenerate, subnormal, ordinary and negative-valued columns, with
+        # test values inside, on and beyond the fitted bounds
+        train = np.array([[3.0, 0.0, 0.1, -7.0], [3.0, 5e-324, 0.7, 2.5]])
+        test = np.array([[3.0, 1.0, 0.3, -9.0], [2.0, 0.0, 0.7, 1e-3],
+                         [4.0, 5e-324, 0.6999999, 3.0]])
+        lo, hi = minmax_fit(train)
+        span = hi - lo
+        with np.errstate(all="ignore"):
+            expected = np.clip(np.where(
+                span > 0, (test - lo) / np.where(span > 0, span, 1.0), 0.0),
+                0.0, 1.0)
+        assert minmax_apply(test, lo, hi).tobytes() == expected.tobytes()
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=20),
            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))

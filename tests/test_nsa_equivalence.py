@@ -1,9 +1,11 @@
-"""Covered-cell detector generation against the generator it replaced.
+"""Detector generation through a shared ``Censor`` against the generator it
+replaced.
 
-``nsa_reference`` holds the earlier generator, which sends every candidate to
-the kd-tree. Both draw the same candidates in the same order, and the cell
-test may reject only candidates the tree would reject, so the detector arrays
-must be identical, not merely close.
+``nsa_reference`` holds the earlier generator, which builds its own kd-tree
+per call and sends every candidate to it. Both draw the same candidates in
+the same order, and the cell test may reject only candidates the tree would
+reject, so the detector arrays must be identical, not merely close. One
+``Censor`` serves every seed and budget of a self set, as in ``run_nsa``.
 """
 import itertools
 import logging
@@ -19,8 +21,7 @@ from dca_ids import nsa
 SELF_SETS = [(0, "random")] + list(itertools.product(
     [1, 50, 800], ["random", "cell-corner", "cell-centre"]))
 SEEDS = [1, 2, 3]
-# Two batches: enough rejections in the first build the grid, which the
-# second then uses.
+# Two batches of candidates, the second shorter than ``nsa._BATCH``.
 SMALL_BUDGET = 1500
 
 
@@ -35,19 +36,18 @@ def self_set(rng, size, dimension, cells_per_axis, kind):
 
 
 def censor_radii(dimension, cells_per_axis):
-    """The default, one with the cell half diagonal just below it, one with
-    the half diagonal just above it, and one that covers most of the cube."""
+    """The default, one with the censor grid's cell half diagonal just below
+    it, one with the half diagonal just above it, and one that covers most
+    of the cube."""
     half_diagonal = np.sqrt(dimension) / (2 * cells_per_axis)
     return [0.2, half_diagonal * (1 + 1e-6), half_diagonal * (1 - 1e-6), 0.45]
 
 
-def runs_default_budget(dimension, count, cells_per_axis, censor, seed):
+def runs_default_budget(dimension, count, censor, seed):
     """Whether a case runs at the default 100 x count budget as well as at
-    the small one: only where a grid can exist, and at count 1000, where
-    100,000 candidates per case are slow, for one seed and only where a self
-    set can cover enough of the cube to keep the grid in use."""
-    if cells_per_axis < 2:
-        return False
+    the small one: always below count 1000, and at count 1000, where 100,000
+    candidates per case are slow, for one seed and only where a self set can
+    cover enough of the cube to keep the grid in use."""
     return count < 1000 or seed == 1 and (dimension <= 3 or censor == 0.45)
 
 
@@ -60,33 +60,28 @@ def quiet_budget_warnings():
 
 @pytest.mark.parametrize("count", [1, 5, 50, 1000])
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5, 6])
-def test_matches_reference_generator(dimension, count, monkeypatch):
-    grids = []
-
-    def covered_cells(*args):
-        grids.append(args)
-        return covered_cells_before(*args)
-
-    covered_cells_before = nsa._covered_cells
-    monkeypatch.setattr(nsa, "_covered_cells", covered_cells)
+def test_matches_reference_generator(dimension, count):
     rng = np.random.default_rng(100 * dimension + count)
-    cells_per_axis = nsa._grid_size(count, dimension)
+    cells_per_axis = nsa._grid_size(nsa._BATCH, dimension)
+    covered_cells = 0
     for size, kind in SELF_SETS:
         points = self_set(rng, size, dimension, cells_per_axis, kind)
-        for censor, budget, seed in itertools.product(
-            censor_radii(dimension, cells_per_axis), [None, SMALL_BUDGET],
-            SEEDS,
-        ):
-            if budget is None and not runs_default_budget(
-                    dimension, count, cells_per_axis, censor, seed):
-                continue
-            args = (points, count, dimension, seed, budget,
+        for censor in censor_radii(dimension, cells_per_axis):
+            shared = nsa.Censor(points, censor / 2, censor / 2)
+            covered_cells += shared.covered.sum()
+            for budget, seed in itertools.product([None, SMALL_BUDGET],
+                                                  SEEDS):
+                if budget is None and not runs_default_budget(
+                        dimension, count, censor, seed):
+                    continue
+                expected = nsa_reference.generate_detectors(
+                    points, count, dimension, seed, budget,
                     censor / 2, censor / 2)
-            expected = nsa_reference.generate_detectors(*args)
-            assert np.array_equal(nsa.generate_detectors(*args), expected), (
-                size, kind, censor, budget, seed)
-    # the cases above must exercise the grid wherever it can exist
-    assert grids or cells_per_axis < 2
+                detectors = nsa.generate_detectors(shared, count, seed, budget)
+                assert np.array_equal(detectors, expected), (
+                    size, kind, censor, budget, seed)
+    # the cases above must send some candidates through covered cells
+    assert covered_cells
 
 
 @pytest.mark.parametrize("count", [1, 1000])
@@ -109,10 +104,11 @@ def test_candidate_exactly_at_the_censor_radius_is_kept(seed, count):
         break
     else:
         pytest.fail("no self point at exactly the censor radius found")
-    args = (np.array([point]), count, 2, seed, None, censor / 2, censor / 2)
-    detectors = nsa.generate_detectors(*args)
+    shared = nsa.Censor(np.array([point]), censor / 2, censor / 2)
+    detectors = nsa.generate_detectors(shared, count, seed)
     assert np.array_equal(detectors[0], first)
-    assert np.array_equal(detectors, nsa_reference.generate_detectors(*args))
+    assert np.array_equal(detectors, nsa_reference.generate_detectors(
+        np.array([point]), count, 2, seed, None, censor / 2, censor / 2))
 
 
 def test_cell_of_puts_the_upper_face_in_the_last_cell():
