@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import ANOMALOUS, NORMAL
 from .errors import ConfigurationError
 from .signals import apply_time_window
 
@@ -169,25 +167,3 @@ def run_dca_with_log(
                      where=totals > 0)
     return mcav, PresentationLog(totals, matures)
 
-
-def write_mcav_table(
-    mcav: np.ndarray,
-    log: PresentationLog,
-    threshold: float,
-    path: str | Path,
-    names: Sequence[str],
-) -> None:
-    """Delimited export of the presented types, sorted by name
-    (``names[code]``): antigen-type, total, mature, mcav and classification,
-    anomalous iff the MCAV strictly exceeds ``threshold``."""
-    totals = log.totals.tolist()
-    matures = log.matures.tolist()
-    rows = sorted((names[code], code) for code, total in enumerate(totals)
-                  if total)
-    with open(path, "w") as handle:
-        handle.write("antigen_type\ttotal_count\tmature_count\tmcav\tclass\n")
-        for name, code in rows:
-            value = float(mcav[code])
-            label = ANOMALOUS if value > threshold else NORMAL
-            handle.write(f"{name}\t{totals[code]}\t{matures[code]}\t"
-                         f"{value:.6f}\t{label}\n")

@@ -75,19 +75,8 @@ def average_rates(rates: Sequence[ConfusionRates]) -> ConfusionRates:
 # Mann-Whitney U
 # ---------------------------------------------------------------------------
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
-    order = sorted(range(len(pooled)), key=pooled.__getitem__)
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        midrank = (i + j) / 2 + 1
-        for position in range(i, j + 1):
-            ranks[order[position]] = midrank
-        i = j + 1
-    return ranks
+# Significance level of the Mann-Whitney comparison against the base run.
+ALPHA = 0.05
 
 
 def _exact_u_distribution(n: int, m: int) -> list[int]:
@@ -108,9 +97,8 @@ def _exact_u_distribution(n: int, m: int) -> list[int]:
     return [ways[n][u + offset] for u in range(n * m + 1)]
 
 
-def mann_whitney_two_sided(
-    x: Sequence[float], y: Sequence[float], alpha: float = 0.05,
-) -> MannWhitneyResult:
+def mann_whitney_two_sided(x: Sequence[float],
+                           y: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney rank test.
 
     An empty sample is a configuration error. NaN values (rates with no
@@ -120,7 +108,7 @@ def mann_whitney_two_sided(
     of the U distribution) when the smaller sample has at most 10 elements
     and the pooled data is tie-free; otherwise the normal approximation with
     tie and continuity corrections is used.
-    Rejects iff p < alpha.
+    Rejects iff p < ALPHA.
     """
     if len(x) == 0 or len(y) == 0:
         raise ConfigurationError("both samples must be non-empty")
@@ -130,13 +118,16 @@ def mann_whitney_two_sided(
         return MannWhitneyResult(u_statistic=math.nan, p_value=math.nan,
                                  reject=False)
     n_x, n_y = len(x), len(y)
-    pooled = list(x) + list(y)
-    ranks = _midranks(pooled)
-    rank_sum_x = sum(ranks[:n_x])
-    u_x = rank_sum_x - n_x * (n_x + 1) / 2
+    n = n_x + n_y
+    # A tie block of t values ending at 1-based rank e has midrank
+    # e - (t - 1) / 2.
+    _, block, counts = np.unique(x + y, return_inverse=True,
+                                 return_counts=True)
+    ranks = np.cumsum(counts)[block] - (counts[block] - 1) / 2
+    u_x = float(ranks[:n_x].sum()) - n_x * (n_x + 1) / 2
     u_y = n_x * n_y - u_x
 
-    if len(set(pooled)) == len(pooled) and min(n_x, n_y) <= 10:
+    if len(counts) == n and min(n_x, n_y) <= 10:
         distribution = _exact_u_distribution(n_x, n_y)
         total = sum(distribution)
         u_min = int(round(min(u_x, u_y)))
@@ -144,13 +135,7 @@ def mann_whitney_two_sided(
         p = min(1.0, 2.0 * tail / total)
     else:
         mean = n_x * n_y / 2.0
-        tie_term = 0.0
-        counts: dict[float, int] = {}
-        for value in pooled:
-            counts[value] = counts.get(value, 0) + 1
-        for t in counts.values():
-            tie_term += t ** 3 - t
-        n = n_x + n_y
+        tie_term = int((counts ** 3 - counts).sum())
         variance = (
             n_x * n_y / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
         )
@@ -159,7 +144,7 @@ def mann_whitney_two_sided(
         else:
             z = (abs(max(u_x, u_y) - mean) - 0.5) / math.sqrt(variance)
             p = min(1.0, 2.0 * (1.0 - _norm_cdf(z)))
-    return MannWhitneyResult(u_statistic=u_x, p_value=p, reject=p < alpha)
+    return MannWhitneyResult(u_statistic=u_x, p_value=p, reject=p < ALPHA)
 
 
 def _norm_cdf(z: float) -> float:

@@ -9,21 +9,23 @@ two-sided Mann-Whitney comparison of per-seed TP rates against the base run.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import logging
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .dataset import KddTable, kfold_split, read_kdd_file
-from .dca import DcaConfig, run_dca_with_log, write_mcav_table
+from .dataset import ANOMALOUS, NORMAL, KddTable, kfold_split, read_kdd_file
+from .dca import DcaConfig, PresentationLog, run_dca_with_log
 from .errors import ConfigurationError, ReportError
 from .evaluation import (
+    ALPHA,
     ConfusionRates,
     MannWhitneyResult,
     average_rates,
@@ -48,9 +50,6 @@ logger = logging.getLogger(__name__)
 # report footers for comparison; never computed here.
 C45_REFERENCE_TP_RATE = 0.988
 C45_REFERENCE_FP_RATE = 0.008
-
-# Significance level of the Mann-Whitney comparison against the base run.
-ALPHA = 0.05
 
 EXPERIMENT_IDS = ("E1.1", "E1.2", "E1.3", "E2", "custom")
 
@@ -133,30 +132,23 @@ class AntigenTypes:
                    antigen_type_names(table))
 
 
-def _dca_sweep_point(
-    category: str,
-    parameter: str,
-    dca: DcaConfig,
-    stream: AntigenTypes,
-    signals: np.ndarray,
-    config: ExperimentConfig,
-    mcav_dir: Path | None,
-    base: SweepPoint | None = None,
-) -> SweepPoint:
+def _dca_sweep_point(category: str, parameter: str, dca: DcaConfig,
+                     stream: AntigenTypes, signals: np.ndarray,
+                     config: ExperimentConfig, mcav_dir: Path | None,
+                     base: SweepPoint | None = None) -> SweepPoint:
     """Run ``dca`` once per seed; with a ``base`` point, compare the per-seed
     TP rates against it."""
     per_seed = []
+    truth = stream.anomalous_share > dca.mcav_threshold
     for seed in config.seeds:
         mcav, log = run_dca_with_log(stream.codes, signals, dca, seed)
-        rates = confusion_from_instances(
-            mcav > dca.mcav_threshold,
-            stream.anomalous_share > dca.mcav_threshold, stream.counts,
-        )
+        anomalous = mcav > dca.mcav_threshold
+        rates = confusion_from_instances(anomalous, truth, stream.counts)
         per_seed.append(rates)
         if mcav_dir is not None:
             safe_param = parameter.replace("=", "_")
             write_mcav_table(
-                mcav, log, dca.mcav_threshold,
+                mcav, log, anomalous,
                 mcav_dir / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
                 stream.names,
             )
@@ -164,7 +156,6 @@ def _dca_sweep_point(
                     rates.tp_rate, _fmt(rates.fp_rate))
     test = None if base is None else mann_whitney_two_sided(
         [r.tp_rate for r in per_seed], [r.tp_rate for r in base.per_seed],
-        ALPHA,
     )
     return SweepPoint(category, parameter, tuple(per_seed), test)
 
@@ -172,13 +163,16 @@ def _dca_sweep_point(
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     """Execute one experiment family and write its reports.
 
-    The range file and E2's attribute list are checked before the data file
-    is read."""
+    The range file (for E1, that it gives every category an attribute) and
+    E2's attribute list are checked before the data file is read."""
     ranges = (None if config.range_config_path is None
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
                   else ranges.attribute_names)
-    if config.experiment == "E2" and max(config.dimensions) > len(attributes):
+    if config.experiment != "E2":
+        if ranges is not None:
+            ranges.check_categories()
+    elif max(config.dimensions) > len(attributes):
         raise ConfigurationError(
             f"dimension {max(config.dimensions)} exceeds the "
             f"{len(attributes)} configured attributes"
@@ -251,17 +245,45 @@ def _run_e2(config: ExperimentConfig, table: KddTable,
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return "NA" if math.isnan(value) else f"{value:.6f}"
+RATE_COLUMNS = "tp_rate tn_rate fp_rate fn_rate"
 
 
-def _atomic_write(path: Path, body: str) -> None:
+def _fmt(value: object) -> str:
+    """A float with six decimals (NaN as ``NA``), anything else as str."""
+    if isinstance(value, float):
+        return "NA" if math.isnan(value) else f"{value:.6f}"
+    return str(value)
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to a temporary file and rename it onto ``path``:
+    ``path`` is whole or untouched, and no temporary file is left."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        tmp.write_text(body)
+        tmp.write_text("".join(f"{line}\n" for line in lines))
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise ReportError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_tsv(path: Path, header: str, rows: Iterable[Iterable]) -> None:
+    """The one table writer: ``header``'s space-separated names, then each
+    row's ``_fmt`` fields, tab-separated."""
+    _write_lines(path, ["\t".join(header.split()),
+                        *("\t".join(map(_fmt, row)) for row in rows)])
+
+
+def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
+                     anomalous: np.ndarray, path: Path,
+                     names: Sequence[str]) -> None:
+    """One row per presented type, sorted by name (``names[code]``), with
+    its class read from ``anomalous``, the mask the run was scored with."""
+    _write_tsv(path, "antigen_type total_count mature_count mcav class",
+               sorted((names[code], log.totals[code], log.matures[code],
+                       mcav[code], ANOMALOUS if anomalous[code] else NORMAL)
+                      for code in np.flatnonzero(log.totals)))
 
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
@@ -272,45 +294,31 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         raise ReportError("no results to report")
     out_dir = Path(out_dir)
 
-    lines = ["category\tparameter\ttp_rate\ttn_rate\tfp_rate\tfn_rate"]
-    for p in points:
-        r = p.mean
-        lines.append(
-            f"{p.category}\t{p.parameter}\t{_fmt(r.tp_rate)}\t"
-            f"{_fmt(r.tn_rate)}\t{_fmt(r.fp_rate)}\t{_fmt(r.fn_rate)}"
-        )
-    _atomic_write(out_dir / "results.tsv", "\n".join(lines) + "\n")
+    _write_tsv(out_dir / "results.tsv", "category parameter " + RATE_COLUMNS,
+               [(p.category, p.parameter, *p.mean.as_tuple()) for p in points])
+    _write_tsv(out_dir / "per_seed.tsv",
+               "category parameter seed " + RATE_COLUMNS, [
+                   (p.category, p.parameter, seed, *r.as_tuple())
+                   for p in points
+                   for seed, r in zip(config.seeds, p.per_seed, strict=True)
+               ])
+    _write_tsv(out_dir / "roc_points.tsv", "fp_rate tp_rate label", [
+        (p.mean.fp_rate, p.mean.tp_rate,
+         p.category if p.parameter == "-" else f"{p.category}({p.parameter})")
+        for p in points
+    ])
+    tests = [(p, p.mann_whitney) for p in points if p.mann_whitney is not None]
+    if tests:
+        _write_tsv(out_dir / "mannwhitney.tsv",
+                   "category parameter u_statistic p_value reject", [
+                       (p.category, p.parameter,
+                        "NA" if math.isnan(t.u_statistic)
+                        else f"{t.u_statistic:.1f}",
+                        t.p_value, str(t.reject).lower())
+                       for p, t in tests
+                   ])
 
-    lines = ["category\tparameter\tseed\ttp_rate\ttn_rate\tfp_rate\tfn_rate"]
-    for p in points:
-        for seed, r in zip(config.seeds, p.per_seed, strict=True):
-            lines.append(
-                f"{p.category}\t{p.parameter}\t{seed}\t"
-                f"{_fmt(r.tp_rate)}\t{_fmt(r.tn_rate)}\t"
-                f"{_fmt(r.fp_rate)}\t{_fmt(r.fn_rate)}"
-            )
-    _atomic_write(out_dir / "per_seed.tsv", "\n".join(lines) + "\n")
-
-    lines = ["fp_rate\ttp_rate\tlabel"]
-    for p in points:
-        label = f"{p.category}" if p.parameter == "-" else \
-            f"{p.category}({p.parameter})"
-        lines.append(f"{_fmt(p.mean.fp_rate)}\t{_fmt(p.mean.tp_rate)}\t{label}")
-    _atomic_write(out_dir / "roc_points.tsv", "\n".join(lines) + "\n")
-
-    tested = [p for p in points if p.mann_whitney is not None]
-    if tested:
-        lines = ["category\tparameter\tu_statistic\tp_value\treject"]
-        for p in tested:
-            t = p.mann_whitney
-            u = "NA" if math.isnan(t.u_statistic) else f"{t.u_statistic:.1f}"
-            lines.append(
-                f"{p.category}\t{p.parameter}\t{u}\t"
-                f"{_fmt(t.p_value)}\t{str(t.reject).lower()}"
-            )
-        _atomic_write(out_dir / "mannwhitney.tsv", "\n".join(lines) + "\n")
-
-    provenance = [
+    _write_lines(out_dir / "provenance.txt", [
         f"dca-ids {__version__}",
         f"experiment: {config.experiment}",
         f"data: {config.data_path}",
@@ -332,16 +340,14 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         "",
         "reference decision-tree benchmark (not computed): "
         f"tp_rate={C45_REFERENCE_TP_RATE} fp_rate={C45_REFERENCE_FP_RATE}",
-    ]
-    _atomic_write(out_dir / "provenance.txt", "\n".join(provenance) + "\n")
+    ])
 
 
 def emit_infogain(table: KddTable, destination: Path) -> None:
     """Write attribute/gain pairs, best first, flagging the default signal
     attributes."""
-    gains = attribute_gains(table)
-    lines = ["attribute\tgain\tdefault_signal_attribute"]
-    for name, gain in gains:
-        flagged = "yes" if name in DEFAULT_SIGNAL_ATTRIBUTES else "no"
-        lines.append(f"{name}\t{gain:.6f}\t{flagged}")
-    _atomic_write(Path(destination), "\n".join(lines) + "\n")
+    _write_tsv(Path(destination), "attribute gain default_signal_attribute", [
+        (name, gain,
+         "yes" if name in DEFAULT_SIGNAL_ATTRIBUTES else "no")
+        for name, gain in attribute_gains(table)
+    ])

@@ -85,6 +85,8 @@ class AttributeRange:
                 f"{self.name}: lower bound {self.lower} must be below "
                 f"upper bound {self.upper}"
             )
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ConfigurationError(f"{self.name}: bounds must be finite")
         if self.direction not in ("+", "-"):
             raise ConfigurationError(
                 f"{self.name}: direction must be '+' or '-', "
@@ -111,6 +113,13 @@ class SignalConfig:
     @property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.ranges)
+
+    def check_categories(self) -> None:
+        """Require an attribute in every category, as a signal stream does."""
+        for category in CATEGORIES:
+            if not self.by_category(category):
+                raise ConfigurationError(
+                    f"no attributes configured for {category}")
 
 
 def default_signal_config(table: KddTable | None = None) -> SignalConfig:
@@ -269,11 +278,10 @@ def signal_stream(table: KddTable, config: SignalConfig) -> np.ndarray:
     ``normalize_signal`` scores ('-' direction: 100 minus the score), summed
     in configuration order.
     """
+    config.check_categories()
     stream = np.empty((len(table), len(CATEGORIES)))
     for j, category in enumerate(CATEGORIES):
         ranges = config.by_category(category)
-        if not ranges:
-            raise ConfigurationError(f"no attributes configured for {category}")
         total = np.zeros(len(table))
         for r in ranges:
             score = normalize_signal(table.column(r.name), r.lower, r.upper)

@@ -12,10 +12,16 @@ import pytest
 import dca_ids
 from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
                          _experiment_config, build_parser, main)
+from dca_ids.dataset import ANOMALOUS
 from dca_ids.evaluation import ConfusionRates, mann_whitney_two_sided
 from dca_ids.experiments import ExperimentConfig, SweepPoint, emit_report
 
 from conftest import anomalous_line, make_line, normal_line
+from test_golden_reports import TYPES, golden_lines
+
+
+# A range file that leaves the safe-signal (SS) category empty.
+PARTIAL_RANGES = "serror_rate PAMP 0 1 +\ncount DS 0 511 +\n"
 
 
 def read_rows(path):
@@ -351,7 +357,17 @@ class TestErrorPaths:
         ("serror_rate PAMP 0 1 +\ncount DS 0 100 +\n",
          ["e2", "--dimensions", "3"],
          "dimension 3 exceeds the 2 configured attributes"),
-    ], ids=["e1-bad-range", "e2-bad-range", "e2-dimension-beyond-ranges"])
+        (PARTIAL_RANGES, ["e1.1"], "no attributes configured for SS"),
+        (PARTIAL_RANGES, ["e1.2"], "no attributes configured for SS"),
+        (PARTIAL_RANGES, ["e1.3"], "no attributes configured for SS"),
+        (PARTIAL_RANGES, ["custom"], "no attributes configured for SS"),
+        ("count DS -inf 1 +\n", ["e1.1"], "count: bounds must be finite"),
+        ("serror_rate PAMP 0 inf +\n", ["e2"],
+         "serror_rate: bounds must be finite"),
+    ], ids=["e1-bad-range", "e2-bad-range", "e2-dimension-beyond-ranges",
+            "e1.1-missing-category", "e1.2-missing-category",
+            "e1.3-missing-category", "custom-missing-category",
+            "e1-infinite-lower-bound", "e2-infinite-upper-bound"])
     def test_range_file_checked_before_the_data_file(self, tmp_path, capsys,
                                                      ranges, argv, message):
         path = tmp_path / "ranges.conf"
@@ -362,6 +378,16 @@ class TestErrorPaths:
                      *options])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_e2_accepts_a_range_file_missing_a_category(
+            self, synthetic_dataset, tmp_path):
+        # E2 takes only the attribute names; the categories are E1's
+        ranges = tmp_path / "ranges.conf"
+        ranges.write_text(PARTIAL_RANGES)
+        code = main(["e2", str(synthetic_dataset), "--seeds", "1",
+                     "--dimensions", "2", "--folds", "2", "--detectors", "20",
+                     "--out", str(tmp_path / "out"), "--ranges", str(ranges)])
+        assert code == EXIT_OK
 
     def test_bad_range_file(self, synthetic_dataset, tmp_path):
         ranges = tmp_path / "ranges.conf"
@@ -462,3 +488,66 @@ class TestReports:
             "category": "E1.2", "parameter": "5", "u_statistic": "NA",
             "p_value": "NA", "reject": "false",
         }]
+
+    @pytest.mark.parametrize("report", ["results.tsv", "mcav_E1.1_-_seed1.tsv"],
+                             ids=["results-table", "mcav-table"])
+    def test_failed_rename_leaves_no_report_and_no_temporary_file(
+            self, synthetic_dataset, tmp_path, monkeypatch, capsys, report):
+        replace = os.replace
+
+        def failing_replace(source, destination):
+            if Path(destination).name == report:
+                raise OSError("no space left on device")
+            replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "out"
+        code = main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert "i/o error: cannot write" in capsys.readouterr().err
+        assert not list(out.rglob(report))
+        assert not list(out.rglob("*.tmp"))
+
+    def test_report_path_taken_by_a_directory(self, synthetic_dataset,
+                                              tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "results.tsv").mkdir(parents=True)
+        code = main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert f"cannot write {out / 'results.tsv'}" in capsys.readouterr().err
+        assert not list(out.rglob("*.tmp"))
+
+    def test_mcav_class_column_is_the_mask_the_run_is_scored_with(
+            self, tmp_path):
+        # The golden stream puts some types at an MCAV of exactly 0.8: they
+        # are normal (strictly above the threshold is anomalous), and the
+        # per-seed rates recomputed from the class column match.
+        data = tmp_path / "golden.kdd"
+        data.write_text("\n".join(golden_lines()) + "\n")
+        out = tmp_path / "out"
+        assert main(["e1.1", str(data), "--seeds", "1,2",
+                     "--out", str(out)]) == EXIT_OK
+        truth = {f"{protocol}:{service}:{flag}": (records, anomalous / records)
+                 for protocol, service, flag, records, anomalous in TYPES}
+        per_seed = read_rows(out / "per_seed.tsv")
+        at_threshold = 0
+        for row in per_seed:
+            cells = {"tp": 0, "fn": 0, "fp": 0, "tn": 0}
+            table = out / "mcav" / f"mcav_E1.1_-_seed{row['seed']}.tsv"
+            for mcav_row in read_rows(table):
+                mcav = (int(mcav_row["mature_count"])
+                        / int(mcav_row["total_count"]))
+                at_threshold += mcav == 0.8
+                predicted = mcav_row["class"] == ANOMALOUS
+                assert predicted == (mcav > 0.8)
+                records, share = truth[mcav_row["antigen_type"]]
+                cell = ("tp" if predicted else "fn") if share > 0.8 else (
+                    "fp" if predicted else "tn")
+                cells[cell] += records
+            assert row["tp_rate"] == (
+                f"{cells['tp'] / (cells['tp'] + cells['fn']):.6f}")
+            assert row["fp_rate"] == (
+                f"{cells['fp'] / (cells['fp'] + cells['tn']):.6f}")
+        assert at_threshold > 0

@@ -9,9 +9,9 @@ from dca_ids.dca import (
     DcaConfig,
     PresentationLog,
     run_dca_with_log,
-    write_mcav_table,
 )
 from dca_ids.errors import ConfigurationError
+from dca_ids.experiments import write_mcav_table
 
 ALL_PAMP = (100.0, 0.0, 0.0)
 ALL_SAFE = (0.0, 0.0, 100.0)
@@ -131,7 +131,9 @@ class TestMcav:
     def test_classification_strict(self, tmp_path):
         log = PresentationLog(np.array([20, 10, 4]), np.array([17, 8, 0]))
         path = tmp_path / "mcav.tsv"
-        write_mcav_table(np.array([0.85, 0.8, 0.0]), log, 0.8, path,
+        mcav = np.array([0.85, 0.8, 0.0])
+        # the mask the run is scored with: strictly above the threshold
+        write_mcav_table(mcav, log, mcav > DcaConfig().mcav_threshold, path,
                          ["a", "b", "c"])
         labels = [line.split("\t")[-1]
                   for line in path.read_text().splitlines()[1:]]
@@ -244,7 +246,7 @@ class TestRunDca:
         signals = np.tile(ALL_PAMP, (len(antigens), 1))
         mcav, log = run_dca_with_log(antigens, signals, small_config(), seed=1)
         path = tmp_path / "mcav.tsv"
-        write_mcav_table(mcav, log, 0.8, path, ["d", "c", "b", "a"])
+        write_mcav_table(mcav, log, mcav > 0.8, path, ["d", "c", "b", "a"])
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == [
             "antigen_type", "total_count", "mature_count", "mcav", "class"

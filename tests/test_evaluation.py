@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dca_ids.dataset import parse_kdd_lines
 from dca_ids.errors import ConfigurationError
 from dca_ids.evaluation import (
+    ALPHA,
     ConfusionRates,
+    MannWhitneyResult,
     _exact_u_distribution,
     average_rates,
     confusion_from_instances,
@@ -38,6 +41,10 @@ def brute_mann_whitney_p(x, y):
         if u <= u_min + 1e-9:
             tail += 1
     return min(1.0, 2.0 * tail / total)
+
+
+# Few distinct values, so most samples tie and take the normal branch.
+TIE_RICH = (0.0, 0.1, 0.5, 0.9, 1.0)
 
 
 def antigen_types(services, anomalous):
@@ -226,6 +233,40 @@ class TestMannWhitney:
         assert math.isnan(result.u_statistic)
         assert math.isnan(result.p_value)
         assert not result.reject
+
+    @pytest.mark.parametrize("x,y,u,p,reject", [
+        ([1, 1, 2, 3], [1, 2, 2, 4], 6.0, 0.6489418131874136, False),
+        ([0.5] * 6 + [0.7] * 5, [0.5] * 3 + [0.9] * 8, 24.0,
+         0.011428972091760414, True),
+    ], ids=["small-ties", "tie-blocks-rejected"])
+    def test_tied_samples_pinned(self, x, y, u, p, reject):
+        assert mann_whitney_two_sided(x, y) == MannWhitneyResult(u, p, reject)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(TIE_RICH), min_size=1, max_size=14),
+           st.lists(st.sampled_from(TIE_RICH), min_size=1, max_size=14))
+    def test_tie_rich_samples_match_a_direct_computation(self, x, y):
+        result = mann_whitney_two_sided(x, y)
+        n_x, n_y = len(x), len(y)
+        u = sum(1.0 if a > b else 0.5 if a == b else 0.0
+                for a in x for b in y)
+        assert result.u_statistic == u
+        counts = Counter(x + y)
+        n = n_x + n_y
+        if len(counts) == n and min(n_x, n_y) <= 10:
+            assert result.p_value == pytest.approx(brute_mann_whitney_p(x, y))
+        else:
+            tie_term = sum(t ** 3 - t for t in counts.values())
+            variance = n_x * n_y / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+            if variance == 0:
+                p = 1.0
+            else:
+                z = ((abs(max(u, n_x * n_y - u) - n_x * n_y / 2.0) - 0.5)
+                     / math.sqrt(variance))
+                p = min(1.0, 2.0 * (1.0 - 0.5 * (
+                    1.0 + math.erf(z / math.sqrt(2.0)))))
+            assert result.p_value == p
+        assert result.reject == (result.p_value < ALPHA)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -300,6 +300,16 @@ class TestDefaultConfig:
         ))
         assert load_signal_config(path) == config
 
+    @pytest.mark.parametrize("line", [
+        "count DS -inf 1 +", "serror_rate PAMP 0 inf +",
+        "count DS -inf inf -",
+    ], ids=["infinite-lower", "infinite-upper", "both-infinite"])
+    def test_infinite_bound_rejected(self, tmp_path, line):
+        path = tmp_path / "ranges.conf"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigurationError, match="bounds must be finite"):
+            load_signal_config(path)
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "ranges.conf"
         path.write_text("count DS 0\n")
