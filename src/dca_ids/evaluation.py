@@ -33,14 +33,6 @@ class MannWhitneyResult:
     reject: bool
 
 
-def _rates_from_cells(tp: int, tn: int, fp: int, fn: int) -> ConfusionRates:
-    tp_rate = tp / (tp + fn) if tp + fn > 0 else math.nan
-    fn_rate = fn / (tp + fn) if tp + fn > 0 else math.nan
-    tn_rate = tn / (tn + fp) if tn + fp > 0 else math.nan
-    fp_rate = fp / (tn + fp) if tn + fp > 0 else math.nan
-    return ConfusionRates(tp_rate, tn_rate, fp_rate, fn_rate)
-
-
 def confusion_from_instances(
     predicted: Sequence[bool],
     actual: Sequence[bool],
@@ -56,19 +48,20 @@ def confusion_from_instances(
         raise ConfigurationError("prediction/truth length mismatch")
     cells = np.bincount(2 * actual + predicted, weights, minlength=4)
     tn, fp, fn, tp = (int(count) for count in cells)
-    return _rates_from_cells(tp, tn, fp, fn)
+    tp_rate = tp / (tp + fn) if tp + fn > 0 else math.nan
+    fn_rate = fn / (tp + fn) if tp + fn > 0 else math.nan
+    tn_rate = tn / (tn + fp) if tn + fp > 0 else math.nan
+    fp_rate = fp / (tn + fp) if tn + fp > 0 else math.nan
+    return ConfusionRates(tp_rate, tn_rate, fp_rate, fn_rate)
 
 
 def average_rates(rates: Sequence[ConfusionRates]) -> ConfusionRates:
     """Arithmetic mean per rate; NaN markers propagate."""
     if not rates:
         raise ConfigurationError("cannot average an empty result sequence")
-    n = len(rates)
-    sums = [0.0, 0.0, 0.0, 0.0]
-    for r in rates:
-        for i, v in enumerate(r.as_tuple()):
-            sums[i] += v
-    return ConfusionRates(*(s / n for s in sums))
+    # cumsum adds in sequence, as the recorded means were (np.sum is pairwise)
+    sums = np.cumsum([r.as_tuple() for r in rates], axis=0)[-1]
+    return ConfusionRates(*(sums / len(rates)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +90,9 @@ def _exact_u_distribution(n: int, m: int) -> list[int]:
     return [ways[n][u + offset] for u in range(n * m + 1)]
 
 
-def mann_whitney_two_sided(x: Sequence[float],
-                           y: Sequence[float]) -> MannWhitneyResult:
+def mann_whitney_two_sided(
+    x: Sequence[float], y: Sequence[float],
+) -> MannWhitneyResult:
     """Two-sided Mann-Whitney rank test.
 
     An empty sample is a configuration error. NaN values (rates with no

@@ -132,10 +132,16 @@ class AntigenTypes:
                    antigen_type_names(table))
 
 
-def _dca_sweep_point(category: str, parameter: str, dca: DcaConfig,
-                     stream: AntigenTypes, signals: np.ndarray,
-                     config: ExperimentConfig, mcav_dir: Path | None,
-                     base: SweepPoint | None = None) -> SweepPoint:
+def _dca_sweep_point(
+    category: str,
+    parameter: str,
+    dca: DcaConfig,
+    stream: AntigenTypes,
+    signals: np.ndarray,
+    config: ExperimentConfig,
+    mcav_dir: Path | None,
+    base: SweepPoint | None = None,
+) -> SweepPoint:
     """Run ``dca`` once per seed; with a ``base`` point, compare the per-seed
     TP rates against it."""
     per_seed = []
@@ -169,10 +175,9 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
                   else ranges.attribute_names)
-    if config.experiment != "E2":
-        if ranges is not None:
-            ranges.check_categories()
-    elif max(config.dimensions) > len(attributes):
+    if config.experiment != "E2" and ranges is not None:
+        ranges.check_categories()
+    if config.experiment == "E2" and max(config.dimensions) > len(attributes):
         raise ConfigurationError(
             f"dimension {max(config.dimensions)} exceeds the "
             f"{len(attributes)} configured attributes"
@@ -181,10 +186,8 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mcav_dir = out_dir / "mcav" if config.write_mcav_tables else None
-    if mcav_dir is not None:
-        mcav_dir.mkdir(exist_ok=True)
+    (mcav_dir or out_dir).mkdir(parents=True, exist_ok=True)
 
     if config.experiment == "E2":
         points = _run_e2(config, table, attributes)
@@ -245,13 +248,14 @@ def _run_e2(config: ExperimentConfig, table: KddTable,
 # Report emission
 # ---------------------------------------------------------------------------
 
-RATE_COLUMNS = "tp_rate tn_rate fp_rate fn_rate"
+RATE_COLUMNS = ("tp_rate", "tn_rate", "fp_rate", "fn_rate")
 
 
-def _fmt(value: object) -> str:
-    """A float with six decimals (NaN as ``NA``), anything else as str."""
+def _fmt(value: object, places: int = 6) -> str:
+    """A float with ``places`` decimals (NaN as ``NA``), anything else as
+    str."""
     if isinstance(value, float):
-        return "NA" if math.isnan(value) else f"{value:.6f}"
+        return "NA" if math.isnan(value) else f"{value:.{places}f}"
     return str(value)
 
 
@@ -268,10 +272,11 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         raise ReportError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_tsv(path: Path, header: str, rows: Iterable[Iterable]) -> None:
-    """The one table writer: ``header``'s space-separated names, then each
-    row's ``_fmt`` fields, tab-separated."""
-    _write_lines(path, ["\t".join(header.split()),
+def _write_tsv(path: Path, header: Sequence[str],
+               rows: Iterable[Iterable]) -> None:
+    """The one table writer: the ``header`` names, then each row's ``_fmt``
+    fields, tab-separated."""
+    _write_lines(path, ["\t".join(header),
                         *("\t".join(map(_fmt, row)) for row in rows)])
 
 
@@ -280,7 +285,8 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
                      names: Sequence[str]) -> None:
     """One row per presented type, sorted by name (``names[code]``), with
     its class read from ``anomalous``, the mask the run was scored with."""
-    _write_tsv(path, "antigen_type total_count mature_count mcav class",
+    _write_tsv(path, ("antigen_type", "total_count", "mature_count", "mcav",
+                      "class"),
                sorted((names[code], log.totals[code], log.matures[code],
                        mcav[code], ANOMALOUS if anomalous[code] else NORMAL)
                       for code in np.flatnonzero(log.totals)))
@@ -294,15 +300,16 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         raise ReportError("no results to report")
     out_dir = Path(out_dir)
 
-    _write_tsv(out_dir / "results.tsv", "category parameter " + RATE_COLUMNS,
+    _write_tsv(out_dir / "results.tsv",
+               ("category", "parameter", *RATE_COLUMNS),
                [(p.category, p.parameter, *p.mean.as_tuple()) for p in points])
     _write_tsv(out_dir / "per_seed.tsv",
-               "category parameter seed " + RATE_COLUMNS, [
+               ("category", "parameter", "seed", *RATE_COLUMNS), [
                    (p.category, p.parameter, seed, *r.as_tuple())
                    for p in points
                    for seed, r in zip(config.seeds, p.per_seed, strict=True)
                ])
-    _write_tsv(out_dir / "roc_points.tsv", "fp_rate tp_rate label", [
+    _write_tsv(out_dir / "roc_points.tsv", ("fp_rate", "tp_rate", "label"), [
         (p.mean.fp_rate, p.mean.tp_rate,
          p.category if p.parameter == "-" else f"{p.category}({p.parameter})")
         for p in points
@@ -310,10 +317,9 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
     tests = [(p, p.mann_whitney) for p in points if p.mann_whitney is not None]
     if tests:
         _write_tsv(out_dir / "mannwhitney.tsv",
-                   "category parameter u_statistic p_value reject", [
-                       (p.category, p.parameter,
-                        "NA" if math.isnan(t.u_statistic)
-                        else f"{t.u_statistic:.1f}",
+                   ("category", "parameter", "u_statistic", "p_value",
+                    "reject"), [
+                       (p.category, p.parameter, _fmt(t.u_statistic, 1),
                         t.p_value, str(t.reject).lower())
                        for p, t in tests
                    ])
@@ -346,8 +352,7 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
 def emit_infogain(table: KddTable, destination: Path) -> None:
     """Write attribute/gain pairs, best first, flagging the default signal
     attributes."""
-    _write_tsv(Path(destination), "attribute gain default_signal_attribute", [
-        (name, gain,
-         "yes" if name in DEFAULT_SIGNAL_ATTRIBUTES else "no")
-        for name, gain in attribute_gains(table)
-    ])
+    _write_tsv(Path(destination),
+               ("attribute", "gain", "default_signal_attribute"),
+               [(name, gain, "yes" if name in DEFAULT_SIGNAL_ATTRIBUTES
+                 else "no") for name, gain in attribute_gains(table)])

@@ -278,6 +278,8 @@ def signal_stream(table: KddTable, config: SignalConfig) -> np.ndarray:
     ``normalize_signal`` scores ('-' direction: 100 minus the score), summed
     in configuration order.
     """
+    # Also checked here for library callers that build a SignalConfig by
+    # hand: an empty category would otherwise give NaN scores.
     config.check_categories()
     stream = np.empty((len(table), len(CATEGORIES)))
     for j, category in enumerate(CATEGORIES):

@@ -108,11 +108,11 @@ def test_criterion_2_parameter_insensitivity(kdd):
     failures = []
     for k in (5, 10, 50, 100):
         sample = [r.tp_rate for r in kdd.dca_rates(multiplier=k)]
-        if mann_whitney_two_sided(sample, base_tp, 0.05).reject:
+        if mann_whitney_two_sided(sample, base_tp).reject:
             failures.append(f"k={k}")
     for w in (2, 3, 5, 7, 10):
         sample = [r.tp_rate for r in kdd.dca_rates(window=w)]
-        if mann_whitney_two_sided(sample, base_tp, 0.05).reject:
+        if mann_whitney_two_sided(sample, base_tp).reject:
             failures.append(f"w={w}")
     check("2 (multiplier/window insensitivity)", not failures,
           f"rejected: {failures or 'none'}")

@@ -132,7 +132,10 @@ class TestMcav:
         log = PresentationLog(np.array([20, 10, 4]), np.array([17, 8, 0]))
         path = tmp_path / "mcav.tsv"
         mcav = np.array([0.85, 0.8, 0.0])
-        # the mask the run is scored with: strictly above the threshold
+        # The class column echoes the mask it is given, here the strict
+        # ``>`` mask; that the run itself classifies with ``>`` (0.8 is
+        # normal) is pinned through _dca_sweep_point by test_cli's
+        # test_mcav_class_column_is_the_mask_the_run_is_scored_with.
         write_mcav_table(mcav, log, mcav > DcaConfig().mcav_threshold, path,
                          ["a", "b", "c"])
         labels = [line.split("\t")[-1]
