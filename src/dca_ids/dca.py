@@ -70,11 +70,10 @@ class DcaConfig:
             raise ConfigurationError(
                 "cells_per_step must be in [1, population_size]"
             )
-        if not (math.isfinite(self.threshold_low)
-                and math.isfinite(self.threshold_high)):
-            raise ConfigurationError("migration thresholds must be finite")
-        if self.threshold_low > self.threshold_high:
-            raise ConfigurationError("threshold range is inverted")
+        # rng.uniform(low, high) needs a finite span; NaN fails this too.
+        if not 0 <= self.threshold_high - self.threshold_low < math.inf:
+            raise ConfigurationError("migration thresholds must be finite, "
+                                     "low <= high, with a finite span")
         if self.multiplier < 1:
             raise ConfigurationError("multiplier must be >= 1")
         if self.window < 1:

@@ -21,7 +21,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SELF_RADIUS = 0.1
 DEFAULT_DETECTOR_RADIUS = 0.1
-# Candidates drawn per batch, and the most cells the covered-cell grid has,
+# Candidates drawn per batch, and the most cells the covered-cube grid has,
 # so building the grid costs at most one batch of tree queries.
 _BATCH = 1024
 _ATTEMPTS_PER_DETECTOR = 100
@@ -35,47 +35,35 @@ def _grid_size(count: int, dimension: int) -> int:
     return cells_per_axis
 
 
-def _cell_of(points: np.ndarray, cells_per_axis: int) -> tuple:
-    """Index tuple of the grid cell holding each point of [0,1]^d, for an
-    array of shape ``(cells_per_axis,) * d``. Points on the upper face of the
-    cube belong to the last cell."""
-    index = np.minimum((points * cells_per_axis).astype(np.intp),
-                       cells_per_axis - 1)
-    return tuple(index.T)
-
-
 def _covered_cells(tree, cells_per_axis: int, dimension: int,
                    margin: float) -> np.ndarray:
     """Bool array of shape ``(cells_per_axis,) * dimension`` marking the
     cells of a grid over [0,1]^d that have a self point closer than
-    ``margin`` to their centre: one tree query per cell.
+    ``margin`` > 0 to their centre: one tree query per cell.
 
     With ``margin`` the censor radius less the cell's half diagonal (and
-    less 1e-9, which absorbs float rounding in the distances and in
-    ``_cell_of``), every point of a marked cell lies strictly within the
-    censor radius of that self point, by the triangle inequality. A margin
-    <= 0 marks no cell; the bound is clamped at 0 because scipy reads a
-    negative ``distance_upper_bound`` as no bound.
+    less 1e-9, which absorbs float rounding in the distances), every point
+    of a marked cell lies strictly within the censor radius of that self
+    point, by the triangle inequality.
     """
     shape = (cells_per_axis,) * dimension
     centres = ((np.indices(shape).reshape(dimension, -1).T + 0.5)
                / cells_per_axis)
-    distances, _ = tree.query(centres, k=1,
-                              distance_upper_bound=max(margin, 0.0))
+    distances, _ = tree.query(centres, k=1, distance_upper_bound=margin)
     return (distances < margin).reshape(shape)
 
 
 class Censor:
     """The censoring rule of one self set, built once and shared by every
     seed: a candidate is rejected when a self point lies closer than
-    self_radius + detector_radius.
+    self_radius + detector_radius, which one kd-tree query decides.
 
-    The self points go into one kd-tree. [0,1]^d is split into g^d cells, g
-    the largest integer with g^d <= ``_BATCH``, and candidates in the cells
-    the self set wholly covers (``_covered_cells``) are rejected without a
-    tree query. Where the half diagonal leaves no margin (d >= 4 at the
-    default radii) the grid is one cell, never covered. The verdicts are
-    bit-identical to querying every candidate.
+    ``covers_cube`` is True when every point of [0,1]^d lies strictly within
+    the censor radius of a self point, so that no candidate can survive. It
+    is decided on a grid of g^d cells, g the largest integer with
+    g^d <= ``_BATCH``: the cube is covered when every cell is
+    (``_covered_cells``). Where the half diagonal leaves no margin (d >= 4
+    at the default radii) it is False.
     """
 
     def __init__(self, self_points: np.ndarray, self_radius: float,
@@ -91,21 +79,17 @@ class Censor:
         self.tree = cKDTree(self_points)
         g = _grid_size(_BATCH, d)
         margin = self.radius - math.sqrt(d) / (2 * g) - 1e-9
-        self.cells_per_axis = g if margin > 0 else 1
-        self.covered = _covered_cells(self.tree, self.cells_per_axis, d,
-                                      margin)
+        self.covers_cube = bool(
+            margin > 0 and _covered_cells(self.tree, g, d, margin).all())
 
     def admits(self, candidates: np.ndarray) -> np.ndarray:
         """Bool mask over the candidates, in draw order: True where no self
         point lies within the censor radius."""
-        keep = ~self.covered[_cell_of(candidates, self.cells_per_axis)]
-        if keep.any():
-            # Self points beyond the censor radius come back as inf, which
-            # passes the test below exactly as their true distance would.
-            distances, _ = self.tree.query(candidates[keep], k=1,
-                                           distance_upper_bound=self.radius)
-            keep[keep] = distances >= self.radius
-        return keep
+        # Self points beyond the censor radius come back as inf, which
+        # passes the test below exactly as their true distance would.
+        distances, _ = self.tree.query(candidates, k=1,
+                                       distance_upper_bound=self.radius)
+        return distances >= self.radius
 
 
 def generate_detectors(censor: Censor, count: int, seed: int,
@@ -116,10 +100,13 @@ def generate_detectors(censor: Censor, count: int, seed: int,
     Stops at ``count`` detectors or when the attempt budget (default
     100 x count) runs out, returning fewer. Candidates are drawn in batches
     of ``_BATCH`` and committed in draw order, so the result is deterministic
-    per seed.
+    per seed. A censor that covers the cube returns no detector without
+    drawing, as drawing the whole budget would.
     """
     if count < 1:
         raise ConfigurationError(f"detector count must be >= 1, got {count}")
+    if censor.covers_cube:
+        return np.empty((0, censor.dimension))
     if max_attempts is None:
         max_attempts = _ATTEMPTS_PER_DETECTOR * count
     rng = np.random.default_rng(seed)
@@ -192,8 +179,10 @@ def run_nsa(
     (per column, so a dimension d takes the first d columns); per (fold, d),
     one ``Censor`` over the normal training rows. Returns, per dimension, one
     fold-averaged ConfusionRates per seed, in seed order. A fold without any
-    normal training instance is skipped with one warning; runs that exhaust
-    their attempt budget get one warning per dimension.
+    normal training instance is skipped with one warning; runs that return
+    fewer detectors than asked get one warning per dimension, which counts
+    those whose self set covers the cube and those that exhausted their
+    attempt budget.
     """
     from .evaluation import average_rates, confusion_from_instances
 
@@ -203,7 +192,7 @@ def run_nsa(
     matrix = attribute_matrix(table, attributes[:max(dimensions)])
     folds = np.asarray(folds)
     per_dimension = [[[] for _ in seeds] for _ in dimensions]
-    # detectors returned by the (fold, seed) runs that came up short
+    # (covers_cube, detector count) of each short (fold, seed) run
     short = [[] for _ in dimensions]
     for fold in range(int(folds.max()) + 1):
         test_mask = folds == fold
@@ -224,7 +213,7 @@ def run_nsa(
                 detectors = generate_detectors(censor, params.detector_count,
                                                seed, params.max_attempts)
                 if len(detectors) < params.detector_count:
-                    returned.append(len(detectors))
+                    returned.append((censor.covers_cube, len(detectors)))
                 predictions = classify_points(test_points[:, :d], detectors,
                                               params.detector_radius)
                 per_fold.append(confusion_from_instances(predictions, truth))
@@ -234,11 +223,14 @@ def run_nsa(
               or _ATTEMPTS_PER_DETECTOR * params.detector_count)
     for d, per_seed, returned in zip(dimensions, per_dimension, short):
         if returned:
+            covered = sum(covers_cube for covers_cube, _ in returned)
             logger.warning(
-                "dimension %d: detector generation exhausted %d attempts in "
-                "%d of %d (fold, seed) runs, the fewest with %d/%d detectors",
-                d, budget, len(returned), len(per_seed) * len(per_seed[0]),
-                min(returned), params.detector_count,
+                "dimension %d: %d of %d (fold, seed) runs returned fewer than "
+                "%d detectors, the fewest %d: %d with a self set covering the "
+                "cube, %d exhausting %d attempts",
+                d, len(returned), len(per_seed) * len(per_seed[0]),
+                params.detector_count, min(n for _, n in returned), covered,
+                len(returned) - covered, budget,
             )
     return [[average_rates(per_fold) for per_fold in per_seed]
             for per_seed in per_dimension]

@@ -85,8 +85,10 @@ class AttributeRange:
                 f"{self.name}: lower bound {self.lower} must be below "
                 f"upper bound {self.upper}"
             )
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ConfigurationError(f"{self.name}: bounds must be finite")
+        # Also rules out infinite bounds; a span of inf would score all 0.
+        if not math.isfinite(self.upper - self.lower):
+            raise ConfigurationError(
+                f"{self.name}: bounds must be finite and span a finite range")
         if self.direction not in ("+", "-"):
             raise ConfigurationError(
                 f"{self.name}: direction must be '+' or '-', "
@@ -154,39 +156,44 @@ def load_signal_config(path: str | Path) -> SignalConfig:
     """Read a range configuration file.
 
     One line per attribute: name, category, lower, upper, direction(+/-).
-    Fields are whitespace-separated; '#' starts a comment.
+    Fields are whitespace-separated; '#' starts a comment. The file is UTF-8.
     """
     ranges = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ConfigurationError(
-                    f"{path}:{line_number}: expected 5 fields "
-                    f"(name category lower upper direction), got {len(parts)}"
-                )
-            name, category, lower, upper, direction = parts
-            if name not in ATTRIBUTE_NAMES:
-                raise ConfigurationError(
-                    f"{path}:{line_number}: unknown attribute {name!r}"
-                )
-            if name not in SCORABLE_ATTRIBUTES:
-                raise ConfigurationError(
-                    f"{path}:{line_number}: {name} is a non-binary nominal "
-                    "attribute and cannot be scored"
-                )
-            try:
-                ranges.append(
-                    AttributeRange(name, category, float(lower), float(upper),
-                                   direction)
-                )
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_number}: {exc}"
-                ) from None
+    # bytes.splitlines breaks lines where text-mode reading would
+    for line_number, raw in enumerate(Path(path).read_bytes().splitlines(),
+                                      start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise ConfigurationError(
+                f"{path}:{line_number}: not UTF-8 text") from None
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ConfigurationError(
+                f"{path}:{line_number}: expected 5 fields "
+                f"(name category lower upper direction), got {len(parts)}"
+            )
+        name, category, lower, upper, direction = parts
+        if name not in ATTRIBUTE_NAMES:
+            raise ConfigurationError(
+                f"{path}:{line_number}: unknown attribute {name!r}"
+            )
+        if name not in SCORABLE_ATTRIBUTES:
+            raise ConfigurationError(
+                f"{path}:{line_number}: {name} is a non-binary nominal "
+                "attribute and cannot be scored"
+            )
+        try:
+            ranges.append(
+                AttributeRange(name, category, float(lower), float(upper),
+                               direction)
+            )
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path}:{line_number}: {exc}"
+            ) from None
     if not ranges:
         raise ConfigurationError(f"{path}: no attribute ranges defined")
     return SignalConfig(tuple(ranges))

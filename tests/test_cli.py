@@ -321,6 +321,10 @@ class TestErrorPaths:
          "migration thresholds must be finite"),
         (["e1.1", "--threshold-low", "inf", "--threshold-high", "inf"],
          "migration thresholds must be finite"),
+        (["e1.1", "--threshold-low=-1e308", "--threshold-high=1e308"],
+         "migration thresholds must be finite"),
+        (["e1.1", "--threshold-low", "300", "--threshold-high", "100"],
+         "low <= high"),
         (["e2", "--self-radius", "nan"], "self radius must be finite"),
         (["e2", "--self-radius", "-0.1"], "self radius must be finite"),
         (["e2", "--detector-radius", "-0.1"],
@@ -335,6 +339,7 @@ class TestErrorPaths:
             "repeated-dimension", "repeated-multiplier", "repeated-window",
             "zero-multiplier", "one-fold", "negative-fold-seed",
             "negative-seed", "nan-threshold", "inf-thresholds",
+            "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",
             "negative-detector-radius", "inf-detector-radius",
             "zero-detectors", "negative-max-attempts",
@@ -364,14 +369,22 @@ class TestErrorPaths:
         ("count DS -inf 1 +\n", ["e1.1"], "count: bounds must be finite"),
         ("serror_rate PAMP 0 inf +\n", ["e2"],
          "serror_rate: bounds must be finite"),
+        ("count DS -1e308 1e308 +\n", ["e1.1"],
+         "count: bounds must be finite and span a finite range"),
+        ("serror_rate PAMP 0 1 +\n\xff\xfe bad\n", ["e1.1"],
+         "ranges.conf:2: not UTF-8 text"),
+        ("serror_rate PAMP 0 1 +\n\xff\xfe bad\n", ["e2"],
+         "ranges.conf:2: not UTF-8 text"),
     ], ids=["e1-bad-range", "e2-bad-range", "e2-dimension-beyond-ranges",
             "e1.1-missing-category", "e1.2-missing-category",
             "e1.3-missing-category", "custom-missing-category",
-            "e1-infinite-lower-bound", "e2-infinite-upper-bound"])
+            "e1-infinite-lower-bound", "e2-infinite-upper-bound",
+            "e1-overflowing-span", "e1-not-utf8", "e2-not-utf8"])
     def test_range_file_checked_before_the_data_file(self, tmp_path, capsys,
                                                      ranges, argv, message):
         path = tmp_path / "ranges.conf"
-        path.write_text(ranges)
+        # latin-1 writes each "\xff" as that one byte, which is not UTF-8
+        path.write_bytes(ranges.encode("latin-1"))
         command, *options = argv
         code = main([command, str(tmp_path / "absent.kdd"),
                      "--out", str(tmp_path / "out"), "--ranges", str(path),

@@ -116,7 +116,6 @@ class TestCoveredCells:
             inside = np.concatenate([
                 low + corners, low + rng.random((20, dimension)),
             ]) / cells_per_axis
-            assert covered[nsa._cell_of(inside[-20:], cells_per_axis)].all()
             nearest = np.array([
                 np.linalg.norm(self_points - point, axis=1).min()
                 for point in inside
@@ -143,36 +142,37 @@ class TestCoveredCells:
         lattice = np.array(list(itertools.product(axis, axis)))
         censor = Censor(lattice, 0.1, 0.1)
         # one query for the 32 x 32 cell centres, which all come out covered
-        assert queried == [32 * 32] and censor.covered.all()
+        assert queried == [32 * 32] and censor.covers_cube
+
+        def no_generator(seed):
+            raise AssertionError("a covered cube needs no candidate")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         for seed in (1, 2):
-            assert len(generate_detectors(censor, 1000, seed)) == 0
-        # and none for the 2 x 100,000 candidates of the default budgets
+            detectors = generate_detectors(censor, 1000, seed)
+            assert detectors.shape == (0, 2)
         assert queried == [32 * 32]
 
-    def test_sparse_self_set_sends_only_uncovered_candidates_to_the_tree(
+    def test_uncovered_cube_sends_every_candidate_to_the_tree(
         self, monkeypatch
     ):
         # Self points packed near one corner reject about 3% of the square.
         # The grid costs one query of 32 x 32 centres; after it, each batch
-        # goes to the tree in one query, less its candidates in the few
-        # covered cells.
+        # of candidates goes to the tree whole, in one query.
         queried = self.record_query_sizes(monkeypatch)
         corner = np.random.default_rng(0).random((500, 2)) * 0.01
         censor = Censor(corner, 0.1, 0.1)
-        assert queried == [32 * 32]
-        assert 0 < censor.covered.sum() < 0.03 * censor.covered.size
+        assert queried == [32 * 32] and not censor.covers_cube
         detectors = generate_detectors(censor, 1000, seed=1)
         assert len(detectors) == 1000
-        assert len(queried) == 3
-        assert all(950 < size < 1024 for size in queried[1:])
+        assert queried == [32 * 32, 1024, 1024]
 
-    def test_no_margin_means_one_cell_never_covered(self, monkeypatch):
+    def test_no_margin_means_no_grid_and_no_covered_cube(self, monkeypatch):
         # At d = 4 the half diagonal of the 5^4 grid is the censor radius.
         queried = self.record_query_sizes(monkeypatch)
         censor = Censor(np.full((3, 4), 0.5), 0.1, 0.1)
-        assert censor.covered.shape == (1, 1, 1, 1)
-        assert not censor.covered.any()
-        assert queried == [1]
+        assert not censor.covers_cube
+        assert queried == []
 
 
 class TestClassify:
@@ -327,22 +327,27 @@ class TestRunNsa:
         ]
 
     def test_budget_exhaustion_warned_once_per_dimension(self, caplog):
-        # Normal records fill the square, so at d = 2 every candidate is
-        # censored; the third attribute puts every attack at 1 and every
-        # normal record at 0, which leaves room for detectors at d = 3.
+        # Normal records fill the square, so at d = 2 the self set covers the
+        # cube; the third attribute puts every attack at 1 and every normal
+        # record at 0, which leaves room for detectors at d = 3, though not
+        # for 100 of them in 100 attempts.
         records = parse_kdd_lines(
             [make_line(serror_rate=i / 20, srv_serror_rate=j / 20)
              for i in range(21) for j in range(21)]
             + [anomalous_line()] * 20
         )
         folds = kfold_split(len(records), 4, seed=1)
-        params = NsaParams(detector_count=10)
+        params = NsaParams(detector_count=100, max_attempts=100)
         with caplog.at_level("WARNING", logger="dca_ids.nsa"):
             run_nsa(records, ["serror_rate", "srv_serror_rate", "count"],
                     (2, 3), folds, params, seeds=(1, 2, 3))
         assert [r.getMessage() for r in caplog.records] == [
-            "dimension 2: detector generation exhausted 1000 attempts in "
-            "12 of 12 (fold, seed) runs, the fewest with 0/10 detectors"
+            "dimension 2: 12 of 12 (fold, seed) runs returned fewer than 100 "
+            "detectors, the fewest 0: 12 with a self set covering the cube, "
+            "0 exhausting 100 attempts",
+            "dimension 3: 12 of 12 (fold, seed) runs returned fewer than 100 "
+            "detectors, the fewest 77: 0 with a self set covering the cube, "
+            "12 exhausting 100 attempts",
         ]
 
     def test_fold_without_normal_training_is_skipped_once(self, caplog):

@@ -3,9 +3,10 @@ replaced.
 
 ``nsa_reference`` holds the earlier generator, which builds its own kd-tree
 per call and sends every candidate to it. Both draw the same candidates in
-the same order, and the cell test may reject only candidates the tree would
-reject, so the detector arrays must be identical, not merely close. One
-``Censor`` serves every seed and budget of a self set, as in ``run_nsa``.
+the same order, and a ``Censor`` that covers the cube, which draws none,
+must be one whose tree rejects every candidate the reference draws, so the
+detector arrays must be identical, not merely close. One ``Censor`` serves
+every seed and budget of a self set, as in ``run_nsa``.
 """
 import itertools
 import logging
@@ -17,16 +18,22 @@ from scipy.spatial import cKDTree
 import nsa_reference
 from dca_ids import nsa
 
-# (size, kind) of the self sets; the empty set is the same in every kind
-SELF_SETS = [(0, "random")] + list(itertools.product(
-    [1, 50, 800], ["random", "cell-corner", "cell-centre"]))
+# (size, kind) of the self sets; the empty set is the same in every kind, and
+# "every-cell-centre" is one point per grid cell whatever the size
+SELF_SETS = [(0, "random"), (0, "every-cell-centre")] + list(
+    itertools.product([1, 50, 800], ["random", "cell-corner", "cell-centre"]))
 SEEDS = [1, 2, 3]
 # Two batches of candidates, the second shorter than ``nsa._BATCH``.
 SMALL_BUDGET = 1500
 
 
 def self_set(rng, size, dimension, cells_per_axis, kind):
-    """Random points, or the same snapped to grid-cell corners or centres."""
+    """Random points, or the same snapped to grid-cell corners or centres,
+    or the centre of every grid cell, which covers the cube at a censor
+    radius above the cell's half diagonal."""
+    if kind == "every-cell-centre":
+        axis = (np.arange(cells_per_axis) + 0.5) / cells_per_axis
+        return np.array(list(itertools.product(axis, repeat=dimension)))
     points = rng.random((size, dimension))
     if kind == "cell-corner":
         return np.floor(points * cells_per_axis) / cells_per_axis
@@ -47,7 +54,7 @@ def runs_default_budget(dimension, count, censor, seed):
     """Whether a case runs at the default 100 x count budget as well as at
     the small one: always below count 1000, and at count 1000, where 100,000
     candidates per case are slow, for one seed and only where a self set can
-    cover enough of the cube to keep the grid in use."""
+    cover the cube."""
     return count < 1000 or seed == 1 and (dimension <= 3 or censor == 0.45)
 
 
@@ -63,12 +70,11 @@ def quiet_budget_warnings():
 def test_matches_reference_generator(dimension, count):
     rng = np.random.default_rng(100 * dimension + count)
     cells_per_axis = nsa._grid_size(nsa._BATCH, dimension)
-    covered_cells = 0
+    covering_at_default_budget = 0
     for size, kind in SELF_SETS:
         points = self_set(rng, size, dimension, cells_per_axis, kind)
         for censor in censor_radii(dimension, cells_per_axis):
             shared = nsa.Censor(points, censor / 2, censor / 2)
-            covered_cells += shared.covered.sum()
             for budget, seed in itertools.product([None, SMALL_BUDGET],
                                                   SEEDS):
                 if budget is None and not runs_default_budget(
@@ -80,8 +86,11 @@ def test_matches_reference_generator(dimension, count):
                 detectors = nsa.generate_detectors(shared, count, seed, budget)
                 assert np.array_equal(detectors, expected), (
                     size, kind, censor, budget, seed)
-    # the cases above must send some candidates through covered cells
-    assert covered_cells
+                covering_at_default_budget += (shared.covers_cube
+                                               and budget is None)
+    # the early return must be compared with a reference that draws its
+    # whole default budget
+    assert covering_at_default_budget
 
 
 @pytest.mark.parametrize("count", [1, 1000])
@@ -109,11 +118,3 @@ def test_candidate_exactly_at_the_censor_radius_is_kept(seed, count):
     assert np.array_equal(detectors[0], first)
     assert np.array_equal(detectors, nsa_reference.generate_detectors(
         np.array([point]), count, 2, seed, None, censor / 2, censor / 2))
-
-
-def test_cell_of_puts_the_upper_face_in_the_last_cell():
-    # rng.random never draws 1.0, but [0,1]^d is closed: its upper face
-    # belongs to the last cell on each axis.
-    points = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.99]])
-    cells = np.arange(16).reshape(4, 4)
-    assert list(cells[nsa._cell_of(points, 4)]) == [12, 3, 15, 11]

@@ -302,12 +302,37 @@ class TestDefaultConfig:
 
     @pytest.mark.parametrize("line", [
         "count DS -inf 1 +", "serror_rate PAMP 0 inf +",
-        "count DS -inf inf -",
-    ], ids=["infinite-lower", "infinite-upper", "both-infinite"])
+        "count DS -inf inf -", "count DS -1e308 1e308 +",
+    ], ids=["infinite-lower", "infinite-upper", "both-infinite",
+            "overflowing-span"])
     def test_infinite_bound_rejected(self, tmp_path, line):
         path = tmp_path / "ranges.conf"
         path.write_text(line + "\n")
         with pytest.raises(ConfigurationError, match="bounds must be finite"):
+            load_signal_config(path)
+
+    def test_widest_finite_span_accepted(self, tmp_path):
+        path = tmp_path / "ranges.conf"
+        path.write_text("count DS -8e307 8e307 +\n")
+        [window] = load_signal_config(path).ranges
+        assert normalize_signal(window.upper, window.lower,
+                                window.upper) == 100
+
+    def test_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "ranges.conf"
+        path.write_bytes(b"serror_rate PAMP 0 1 +\n\xff\xfe bad\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"ranges.conf:2: not UTF-8 text"):
+            load_signal_config(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_of_other_platforms(self, tmp_path, newline):
+        path = tmp_path / "ranges.conf"
+        path.write_bytes(newline.join([
+            "# count DS 0 1 +", "serror_rate PAMP 0 1 +", "count DS 0 511 -",
+            "bogus SS 0 1 +"]).encode())
+        with pytest.raises(ConfigurationError,
+                           match="ranges.conf:4: unknown attribute 'bogus'"):
             load_signal_config(path)
 
     def test_bad_file_rejected(self, tmp_path):
