@@ -14,6 +14,7 @@ import dataclasses
 import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -132,40 +133,6 @@ class AntigenTypes:
                    antigen_type_names(table))
 
 
-def _dca_sweep_point(
-    category: str,
-    parameter: str,
-    dca: DcaConfig,
-    stream: AntigenTypes,
-    signals: np.ndarray,
-    config: ExperimentConfig,
-    mcav_dir: Path | None,
-    base: SweepPoint | None = None,
-) -> SweepPoint:
-    """Run ``dca`` once per seed; with a ``base`` point, compare the per-seed
-    TP rates against it."""
-    per_seed = []
-    truth = stream.anomalous_share > dca.mcav_threshold
-    for seed in config.seeds:
-        mcav, log = run_dca_with_log(stream.codes, signals, dca, seed)
-        anomalous = mcav > dca.mcav_threshold
-        rates = confusion_from_instances(anomalous, truth, stream.counts)
-        per_seed.append(rates)
-        if mcav_dir is not None:
-            safe_param = parameter.replace("=", "_")
-            write_mcav_table(
-                mcav, log, anomalous,
-                mcav_dir / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
-                stream.names,
-            )
-        logger.info("%s %s seed=%d tp=%.4f fp=%s", category, parameter, seed,
-                    rates.tp_rate, _fmt(rates.fp_rate))
-    test = None if base is None else mann_whitney_two_sided(
-        [r.tp_rate for r in per_seed], [r.tp_rate for r in base.per_seed],
-    )
-    return SweepPoint(category, parameter, tuple(per_seed), test)
-
-
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     """Execute one experiment family and write its reports.
 
@@ -201,32 +168,58 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
 def _run_e1(config: ExperimentConfig, table: KddTable,
             ranges: SignalConfig | None,
             mcav_dir: Path | None) -> list[SweepPoint]:
-    """The base run, then one point per (parameter, DcaConfig) of the
-    family's sweep, each compared against the base."""
+    """The base run (k = 1, w = 1), then one point per (parameter,
+    DcaConfig) of the family's sweep, each compared against the base.
+
+    The loop is seed-major: every point of one seed runs before the next
+    seed."""
     dca = config.dca
+    points = [("E1.1", "-", dataclasses.replace(dca, multiplier=1, window=1))]
     if config.experiment == "E1.2":
-        sweep = [(str(k), dataclasses.replace(dca, multiplier=k, window=1))
-                 for k in config.multipliers]
+        points += [("E1.2", str(k),
+                    dataclasses.replace(dca, multiplier=k, window=1))
+                   for k in config.multipliers]
     elif config.experiment == "E1.3":
-        sweep = [(str(w), dataclasses.replace(dca, multiplier=1, window=w))
-                 for w in config.windows]
+        points += [("E1.3", str(w),
+                    dataclasses.replace(dca, multiplier=1, window=w))
+                   for w in config.windows]
     elif config.experiment == "custom":  # the configuration exactly as given
-        sweep = [(f"k={dca.multiplier},w={dca.window}", dca)]
-    else:
-        sweep = []
+        points.append(("custom", f"k={dca.multiplier},w={dca.window}", dca))
 
     stream = AntigenTypes.of(table)
     signals = signal_stream(
         table, default_signal_config(table) if ranges is None else ranges
     )
-    base = _dca_sweep_point(
-        "E1.1", "-", dataclasses.replace(dca, multiplier=1, window=1),
-        stream, signals, config, mcav_dir,
-    )
+    truth = stream.anomalous_share > dca.mcav_threshold
+    per_point: list[list[ConfusionRates]] = [[] for _ in points]
+    for seed in config.seeds:
+        for (category, parameter, point_dca), per_seed in zip(
+                points, per_point):
+            start = time.perf_counter()
+            mcav, log = run_dca_with_log(stream.codes, signals, point_dca,
+                                         seed)
+            anomalous = mcav > dca.mcav_threshold
+            rates = confusion_from_instances(anomalous, truth, stream.counts)
+            per_seed.append(rates)
+            if mcav_dir is not None:
+                safe_param = parameter.replace("=", "_")
+                write_mcav_table(
+                    mcav, log, anomalous,
+                    mcav_dir / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
+                    stream.names,
+                )
+            logger.info("%s %s seed=%d tp=%.4f fp=%s elapsed=%.2fs", category,
+                        parameter, seed, rates.tp_rate, _fmt(rates.fp_rate),
+                        time.perf_counter() - start)
+
+    base = SweepPoint("E1.1", "-", tuple(per_point[0]))
+    base_tp = [r.tp_rate for r in base.per_seed]
     return [base] + [
-        _dca_sweep_point(config.experiment, parameter, point_dca, stream,
-                         signals, config, mcav_dir, base)
-        for parameter, point_dca in sweep
+        SweepPoint(category, parameter, tuple(per_seed),
+                   mann_whitney_two_sided([r.tp_rate for r in per_seed],
+                                          base_tp))
+        for (category, parameter, _), per_seed in zip(points[1:],
+                                                      per_point[1:])
     ]
 
 
@@ -295,7 +288,8 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                 out_dir: Path) -> None:
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
-    appendix and provenance block. Content is deterministic per config."""
+    appendix and provenance (one line per config field). Content is
+    deterministic per config."""
     if not points:
         raise ReportError("no results to report")
     out_dir = Path(out_dir)
@@ -326,27 +320,26 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
 
     _write_lines(out_dir / "provenance.txt", [
         f"dca-ids {__version__}",
-        f"experiment: {config.experiment}",
-        f"data: {config.data_path}",
-        f"seeds: {','.join(str(s) for s in config.seeds)}",
-        f"population_size: {config.dca.population_size}",
-        f"threshold_range: [{config.dca.threshold_low}, "
-        f"{config.dca.threshold_high}]",
-        f"cells_per_step: {config.dca.cells_per_step}",
-        f"mcav_threshold: {config.dca.mcav_threshold}",
-        f"multiplier: {config.dca.multiplier}",
-        f"window: {config.dca.window}",
+        *_field_lines(config),
         "time_window: forward mean",
-        f"nsa_self_radius: {config.nsa.self_radius}",
-        f"nsa_detector_radius: {config.nsa.detector_radius}",
-        f"nsa_detector_count: {config.nsa.detector_count}",
-        f"folds: {config.folds} (seed {config.fold_seed})",
-        f"range_config: {config.range_config_path or 'built-in defaults'}",
         f"alpha: {ALPHA}",
         "",
         "reference decision-tree benchmark (not computed): "
         f"tp_rate={C45_REFERENCE_TP_RATE} fp_rate={C45_REFERENCE_FP_RATE}",
     ])
+
+
+def _field_lines(config: object, prefix: str = "") -> Iterable[str]:
+    """One ``name: value`` line per field of the dataclass ``config``:
+    nested configs flattened as ``field.name``, tuples comma-joined."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _field_lines(value, f"{prefix}{f.name}.")
+        else:
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            yield f"{prefix}{f.name}: {value}"
 
 
 def emit_infogain(table: KddTable, destination: Path) -> None:

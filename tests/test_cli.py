@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
 import gzip
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dca_ids
+from dca_ids import experiments
 from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
                          _experiment_config, build_parser, main)
 from dca_ids.dataset import ANOMALOUS
@@ -95,6 +98,29 @@ class TestE1Commands:
         for name in ("results.tsv", "per_seed.tsv", "roc_points.tsv"):
             assert (out_a / name).read_text() == (out_b / name).read_text()
 
+    def test_runs_are_seed_major(self, synthetic_dataset, tmp_path,
+                                 monkeypatch, caplog):
+        # Every point of one seed runs before the next seed: the unit a
+        # per-seed task of a family is built on.
+        calls = []
+        run = experiments.run_dca_with_log
+
+        def recording_run(antigens, signals, config, seed):
+            calls.append((seed, config.multiplier))
+            return run(antigens, signals, config, seed)
+
+        monkeypatch.setattr(experiments, "run_dca_with_log", recording_run)
+        caplog.set_level(logging.INFO, logger="dca_ids.experiments")
+        assert main(["e1.2", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1,2",
+                     "--multipliers", "5,10", "--no-mcav-tables"]) == EXIT_OK
+        assert calls == [(1, 1), (1, 5), (1, 10), (2, 1), (2, 5), (2, 10)]
+        runs = [r.getMessage() for r in caplog.records
+                if r.name == "dca_ids.experiments"]
+        assert [m.split(" seed=")[0] for m in runs] == [
+            "E1.1 -", "E1.2 5", "E1.2 10"] * 2
+        assert all(re.search(r" elapsed=\d+\.\d\ds$", m) for m in runs)
+
 
 class TestE2Command:
     def test_e2_sweep(self, synthetic_dataset, tmp_path):
@@ -120,6 +146,48 @@ class TestE2Command:
                      "--seeds", "1,2", "--dimensions", "2", "--folds", "4"])
         assert code == EXIT_CONFIG
         assert "every fold was skipped" in capsys.readouterr().err
+
+
+class TestProvenance:
+    @staticmethod
+    def provenance(argv, tmp_path):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--seeds", "1"]) == EXIT_OK
+        return (out / "provenance.txt").read_text().splitlines()
+
+    def test_e1_sweep_list_is_recorded(self, synthetic_dataset, tmp_path):
+        lines = self.provenance(["e1.2", str(synthetic_dataset),
+                                 "--multipliers", "5,100",
+                                 "--no-mcav-tables"], tmp_path)
+        assert "multipliers: 5,100" in lines
+        assert "write_mcav_tables: False" in lines
+        assert "time_window: forward mean" in lines
+        assert "alpha: 0.05" in lines
+
+    def test_e2_dimensions_and_attempt_budget_are_recorded(
+            self, synthetic_dataset, tmp_path):
+        lines = self.provenance(["e2", str(synthetic_dataset),
+                                 "--dimensions", "3,4", "--folds", "4",
+                                 "--detectors", "10", "--max-attempts", "50"],
+                                tmp_path)
+        assert "dimensions: 3,4" in lines
+        assert "nsa.max_attempts: 50" in lines
+        assert "nsa.detector_count: 10" in lines
+        assert "time_window: forward mean" in lines
+        assert "alpha: 0.05" in lines
+
+    def test_one_line_per_config_field(self, synthetic_dataset, tmp_path):
+        lines = self.provenance(["e1.1", str(synthetic_dataset)], tmp_path)
+        names = [line.split(":")[0] for line in lines[1:-4]]
+        config = ExperimentConfig("E1.1", synthetic_dataset, tmp_path)
+        expected = []
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            expected += ([f"{f.name}.{g.name}"
+                          for g in dataclasses.fields(value)]
+                         if dataclasses.is_dataclass(value) else [f.name])
+        assert names == expected
+        assert lines[-4:-2] == ["time_window: forward mean", "alpha: 0.05"]
 
 
 class TestInfogain:

@@ -134,7 +134,7 @@ class TestMcav:
         mcav = np.array([0.85, 0.8, 0.0])
         # The class column echoes the mask it is given, here the strict
         # ``>`` mask; that the run itself classifies with ``>`` (0.8 is
-        # normal) is pinned through _dca_sweep_point by test_cli's
+        # normal) is pinned through experiments._run_e1 by test_cli's
         # test_mcav_class_column_is_the_mask_the_run_is_scored_with.
         write_mcav_table(mcav, log, mcav > DcaConfig().mcav_threshold, path,
                          ["a", "b", "c"])
