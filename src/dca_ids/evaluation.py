@@ -75,19 +75,19 @@ ALPHA = 0.05
 def _exact_u_distribution(n: int, m: int) -> list[int]:
     """Counts of subsets of size n from ranks 1..n+m by U statistic value.
 
-    Dynamic programming over rank sums; index u runs over [0, n*m].
+    Index u runs over [0, n*m]. The counts are the coefficients of the
+    Gaussian binomial prod_{i=1..n} (1 - q^(m+i)) / (1 - q^i) (Mann &
+    Whitney 1947); every factor starts with 1, so cutting each product and
+    quotient at degree n*m leaves them exact.
     """
-    max_sum = n * (n + m) - n * (n - 1) // 2
-    ways = [[0] * (max_sum + 1) for _ in range(n + 1)]
-    ways[0][0] = 1
-    for rank in range(1, n + m + 1):
-        for size in range(min(rank, n), 0, -1):
-            row = ways[size]
-            prev = ways[size - 1]
-            for total in range(max_sum, rank - 1, -1):
-                row[total] += prev[total - rank]
-    offset = n * (n + 1) // 2
-    return [ways[n][u + offset] for u in range(n * m + 1)]
+    top = n * m
+    counts = [1] + [0] * top
+    for i in range(1, n + 1):
+        for u in range(top, m + i - 1, -1):  # times (1 - q^(m+i))
+            counts[u] -= counts[u - m - i]
+        for u in range(i, top + 1):  # divided by (1 - q^i)
+            counts[u] += counts[u - i]
+    return counts
 
 
 def mann_whitney_two_sided(
@@ -122,14 +122,14 @@ def mann_whitney_two_sided(
     u_y = n_x * n_y - u_x
 
     if len(counts) == n and min(n_x, n_y) <= 10:
-        distribution = _exact_u_distribution(n_x, n_y)
-        total = sum(distribution)
         u_min = int(round(min(u_x, u_y)))
-        tail = sum(distribution[: u_min + 1])
-        p = min(1.0, 2.0 * tail / total)
+        # The counts are symmetric in n and m; the recurrence loops n times.
+        tail = sum(_exact_u_distribution(*sorted((n_x, n_y)))[: u_min + 1])
+        p = min(1.0, 2.0 * tail / math.comb(n, n_x))
     else:
         mean = n_x * n_y / 2.0
-        tie_term = int((counts ** 3 - counts).sum())
+        # Python integers: int64 t**3 wraps once a tie block reaches 2**21
+        tie_term = sum(t**3 - t for t in counts.tolist())
         variance = (
             n_x * n_y / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
         )

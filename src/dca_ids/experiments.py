@@ -36,7 +36,6 @@ from .evaluation import (
 from .nsa import NsaParams, run_nsa
 from .signals import (
     DEFAULT_SIGNAL_ATTRIBUTES,
-    SignalConfig,
     antigen_stream,
     antigen_type_names,
     attribute_gains,
@@ -159,15 +158,18 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     if config.experiment == "E2":
         points = _run_e2(config, table, attributes)
     else:
-        points = _run_e1(config, table, ranges, mcav_dir)
+        # E1 needs only its two streams: the table is freed before the runs.
+        stream = AntigenTypes.of(table)
+        signals = signal_stream(table, ranges or default_signal_config(table))
+        del table
+        points = _run_e1(config, stream, signals, mcav_dir)
 
     emit_report(points, config, out_dir)
     return points
 
 
-def _run_e1(config: ExperimentConfig, table: KddTable,
-            ranges: SignalConfig | None,
-            mcav_dir: Path | None) -> list[SweepPoint]:
+def _run_e1(config: ExperimentConfig, stream: AntigenTypes,
+            signals: np.ndarray, mcav_dir: Path | None) -> list[SweepPoint]:
     """The base run (k = 1, w = 1), then one point per (parameter,
     DcaConfig) of the family's sweep, each compared against the base.
 
@@ -186,10 +188,6 @@ def _run_e1(config: ExperimentConfig, table: KddTable,
     elif config.experiment == "custom":  # the configuration exactly as given
         points.append(("custom", f"k={dca.multiplier},w={dca.window}", dca))
 
-    stream = AntigenTypes.of(table)
-    signals = signal_stream(
-        table, default_signal_config(table) if ranges is None else ranges
-    )
     truth = stream.anomalous_share > dca.mcav_threshold
     per_point: list[list[ConfusionRates]] = [[] for _ in points]
     for seed in config.seeds:

@@ -302,20 +302,21 @@ def signal_stream(table: KddTable, config: SignalConfig) -> np.ndarray:
 def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
     """Forward moving mean over w consecutive instances per category.
 
-    Windows shrink near the end of the stream; w=1 returns the stream
+    Windows shrink near the end of the stream, so any w of at least the
+    stream length means the rest of the stream; w=1 returns the stream
     unchanged.
     """
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
     stream = np.asarray(stream, dtype=float)
-    if w == 1 or len(stream) == 0:
-        return stream.copy()
     n = len(stream)
+    w = min(w, n)
+    if w <= 1:
+        return stream.copy()
     padded = np.vstack([np.zeros((1, stream.shape[1])), np.cumsum(stream, axis=0)])
-    ends = np.minimum(np.arange(n) + w, n)
     starts = np.arange(n)
-    sums = padded[ends] - padded[starts]
-    return sums / (ends - starts)[:, None]
+    ends = np.minimum(starts + w, n)
+    return (padded[ends] - padded[starts]) / (ends - starts)[:, None]
 
 
 # ---------------------------------------------------------------------------

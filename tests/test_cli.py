@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import gzip
 import logging
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
                          _experiment_config, build_parser, main)
 from dca_ids.dataset import ANOMALOUS
 from dca_ids.evaluation import ConfusionRates, mann_whitney_two_sided
-from dca_ids.experiments import ExperimentConfig, SweepPoint, emit_report
+from dca_ids.experiments import (RATE_COLUMNS, ExperimentConfig, SweepPoint,
+                                 emit_report)
 
 from conftest import anomalous_line, make_line, normal_line
 from test_golden_reports import TYPES, golden_lines
@@ -120,6 +123,50 @@ class TestE1Commands:
         assert [m.split(" seed=")[0] for m in runs] == [
             "E1.1 -", "E1.2 5", "E1.2 10"] * 2
         assert all(re.search(r" elapsed=\d+\.\d\ds$", m) for m in runs)
+
+    def test_table_is_freed_before_the_first_run(self, synthetic_dataset,
+                                                 tmp_path, monkeypatch):
+        # E1 runs on its antigen and signal streams alone, so the parsed
+        # table is garbage by the first DCA run.
+        tables, alive = [], []
+        read, run = experiments.read_kdd_file, experiments.run_dca_with_log
+
+        def tracked_read(path):
+            table = read(path)
+            tables.append(weakref.ref(table))
+            return table
+
+        def checking_run(*args):
+            if not alive:
+                gc.collect()
+                alive.append(tables[0]() is not None)
+            return run(*args)
+
+        monkeypatch.setattr(experiments, "read_kdd_file", tracked_read)
+        monkeypatch.setattr(experiments, "run_dca_with_log", checking_run)
+        assert main(["e1.2", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1",
+                     "--multipliers", "5", "--no-mcav-tables"]) == EXIT_OK
+        assert alive == [False]
+
+    @pytest.mark.parametrize("command,flag", [("e1.3", "--windows"),
+                                              ("custom", "--window")])
+    def test_window_past_the_stream_runs_as_the_stream_length(
+            self, synthetic_dataset, tmp_path, command, flag):
+        def sweep_rates(window):
+            out = tmp_path / window
+            assert main([command, str(synthetic_dataset), "--out", str(out),
+                         "--seeds", "1,2", flag, window,
+                         "--no-mcav-tables"]) == EXIT_OK
+            return [[row[c] for c in RATE_COLUMNS]
+                    for row in read_rows(out / "per_seed.tsv")
+                    if row["category"] != "E1.1"]
+
+        records = len(synthetic_dataset.read_text().splitlines())
+        whole = sweep_rates(str(records))
+        assert len(whole) == 2
+        for window in (2**63 - 1, 2**70):
+            assert sweep_rates(str(window)) == whole
 
 
 class TestE2Command:

@@ -125,9 +125,10 @@ DCA_FLAGS = (
 EXTRA_FLAGS = {
     "e1.1": (),
     "e1.2": (flag("multipliers", ["1", "3,20"], ["0", "2,2", ","]),),
-    "e1.3": (flag("windows", ["1", "2,50"], ["0", "3,3", "a"]),),
+    "e1.3": (flag("windows", ["1", "2,50"],
+                  ["0", "3,3", "a", str(2**63 - 1), str(10**20)]),),
     "custom": (flag("multiplier", [1, 4], [0]),
-               flag("window", [1, 5], [0])),
+               flag("window", [1, 5], [0, 2**63 - 1, 10**20])),
     "e2": (flag("self-radius", [0.1, 0, 2], [-0.1, "inf", "nan"]),
            flag("detector-radius", [0.1, 0.05], [0, "inf", "nan"]),
            flag("max-attempts", [30, 2000, 1], [0, -1]),

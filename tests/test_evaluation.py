@@ -234,6 +234,30 @@ class TestMannWhitney:
         assert math.isnan(result.p_value)
         assert not result.reject
 
+    def test_exact_counts_match_enumeration(self):
+        for n in range(15):
+            for m in range(15 - n):
+                by_u = Counter(sum(combo) - n * (n + 1) // 2 for combo
+                               in itertools.combinations(range(1, n + m + 1),
+                                                         n))
+                assert _exact_u_distribution(n, m) == [
+                    by_u[u] for u in range(n * m + 1)], (n, m)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_exact_counts_total_and_symmetry(self, n):
+        for m in [*range(20), *range(20, 300, 7), 300]:
+            counts = _exact_u_distribution(n, m)
+            assert len(counts) == n * m + 1
+            assert sum(counts) == math.comb(n + m, n)
+            assert counts == counts[::-1], (n, m)
+
+    def test_tie_term_of_a_huge_tie_block_does_not_wrap(self):
+        # 2,097,152 tied zeros: t**3 is 2**63, past int64
+        zeros = [0.0] * 1_048_576
+        result = mann_whitney_two_sided(zeros + [1.0] * 10_000,
+                                        zeros + [2.0] * 10_000)
+        assert result.p_value == pytest.approx(0.502, abs=1e-3)
+
     @pytest.mark.parametrize("x,y,u,p,reject", [
         ([1, 1, 2, 3], [1, 2, 2, 4], 6.0, 0.6489418131874136, False),
         ([0.5] * 6 + [0.7] * 5, [0.5] * 3 + [0.9] * 8, 24.0,

@@ -366,6 +366,12 @@ class TestTimeWindow:
         with pytest.raises(ConfigurationError):
             apply_time_window(np.zeros((3, 3)), 0)
 
+    def test_window_past_the_stream_means_the_rest_of_it(self):
+        stream = np.random.default_rng(2).random((20, 3)) * 100
+        whole = apply_time_window(stream, len(stream))
+        for w in (2**63 - 1, 2**70):
+            assert (apply_time_window(stream, w) == whole).all()
+
     @given(st.integers(1, 12), st.integers(1, 40))
     def test_window_mean_bounded_by_window_extremes(self, w, n):
         rng = np.random.default_rng(w * 100 + n)
