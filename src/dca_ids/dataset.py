@@ -88,8 +88,11 @@ BINARY_ATTRIBUTES: tuple[str, ...] = (
 )
 
 _FIELDS = len(ATTRIBUTE_NAMES) + 1
-_CONTINUOUS_INDEX = [_INDEX[name] for name in CONTINUOUS_ATTRIBUTES]
 _BINARY_INDEX = [_INDEX[name] for name in BINARY_ATTRIBUTES]
+# The columns np.loadtxt converts: the continuous and the binary ones.
+_NUMERIC_INDEX = sorted(_INDEX[name]
+                        for name in CONTINUOUS_ATTRIBUTES + BINARY_ATTRIBUTES)
+_BINARY_VALUES = frozenset({"0", "1"})
 # Lines converted per chunk: large enough to amortise the array calls, small
 # enough that a chunk's field strings stay a few MB.
 _CHUNK_LINES = 2048
@@ -122,10 +125,29 @@ def binarize_label(label: str) -> BinaryLabel:
     return NORMAL if label == NORMAL else ANOMALOUS
 
 
-def _first_error(lines: Sequence[str], numbers: Sequence[int]) -> ParseError:
+def _number(raw: str) -> float | None:
+    """``raw`` as a float under np.loadtxt's grammar, else None.
+
+    That is ``float()``'s grammar less two of its extensions: loadtxt strips
+    the same whitespace but reads only ASCII, so non-ASCII digits (``١٢``,
+    ``１``) fail, and it takes no digit-group underscores (``1_0``).
+    """
+    text = raw.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _first_error(lines: Sequence[str], first: int) -> ParseError:
     """The error of the first malformed field, checking line by line and
-    field by field in file order."""
-    for line, number in zip(lines, numbers):
+    field by field in file order. ``lines`` are stripped and numbered from
+    ``first``; blank ones are skipped."""
+    for number, line in enumerate(lines, start=first):
+        if not line:
+            continue
         fields = line.split(",")
         if len(fields) != _FIELDS:
             return ParseError(
@@ -134,7 +156,7 @@ def _first_error(lines: Sequence[str], numbers: Sequence[int]) -> ParseError:
         for i, name in enumerate(ATTRIBUTE_NAMES):
             raw = fields[i]
             if name in BINARY_ATTRIBUTES:
-                if raw not in ("0", "1"):
+                if raw not in _BINARY_VALUES:
                     return ParseError(
                         f"line {number}: binary column {i + 1} ({name}) "
                         f"must be 0 or 1, got {raw!r}"
@@ -142,9 +164,8 @@ def _first_error(lines: Sequence[str], numbers: Sequence[int]) -> ParseError:
                 continue
             if name in NOMINAL_ATTRIBUTES:
                 continue
-            try:
-                value = float(raw)
-            except ValueError:
+            value = _number(raw)
+            if value is None:
                 return ParseError(
                     f"line {number}: non-numeric value {raw!r} "
                     f"in continuous column {i + 1} ({name})"
@@ -157,63 +178,65 @@ def _first_error(lines: Sequence[str], numbers: Sequence[int]) -> ParseError:
     raise AssertionError("chunk rejected but every line is well formed")
 
 
-def _codes(column: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
-    """Codes of a string column, extending the vocabulary with new values."""
-    distinct, inverse = np.unique(column.astype(str), return_inverse=True)
-    lookup = [vocabulary.setdefault(value, len(vocabulary))
-              for value in distinct.tolist()]
-    return np.asarray(lookup, dtype=float)[inverse]
+def _codes(column: list[str], vocabulary: dict[str, int]) -> np.ndarray:
+    """Codes of a string column, extending the vocabulary with its new
+    values in sorted order."""
+    for value in sorted(set(column).difference(vocabulary)):
+        vocabulary[value] = len(vocabulary)
+    return np.fromiter(map(vocabulary.__getitem__, column), float,
+                       len(column))
 
 
-def _convert(lines: Sequence[str], numbers: Sequence[int],
+def _convert(lines: list[str], first: int,
              vocabularies: dict[str, dict[str, int]]):
-    """One chunk of stripped, non-blank lines as (values, anomalous)."""
-    if any(line.count(",") != _FIELDS - 1 for line in lines):
-        raise _first_error(lines, numbers)
-    fields = np.array(",".join(lines).split(","), dtype=object)
-    fields = fields.reshape(len(lines), _FIELDS)
+    """One chunk of text lines, numbered from ``first``, as (values,
+    anomalous); blank lines are skipped."""
+    stripped = list(map(str.strip, lines))
+    kept = list(filter(None, stripped))
+    if not kept:
+        return np.empty((0, len(ATTRIBUTE_NAMES))), np.empty(0, dtype=bool)
+    # loadtxt ignores columns past the last it reads, so count them here.
+    if set(map(str.count, kept, itertools.repeat(","))) != {_FIELDS - 1}:
+        raise _first_error(stripped, first)
+    joined = ",".join(kept)
+    flat = joined.split(",")
+    # loadtxt rejects a line break inside a line. float() reads one as
+    # whitespace, and a nominal field may hold one.
+    if "\r" in joined or "\n" in joined:
+        kept = [line.replace("\r", " ").replace("\n", " ") for line in kept]
     try:
-        continuous = fields[:, _CONTINUOUS_INDEX].astype(float)
+        numeric = np.loadtxt(kept, delimiter=",", usecols=_NUMERIC_INDEX,
+                             comments=None, ndmin=2)
     except ValueError:
-        raise _first_error(lines, numbers) from None
-    binary = fields[:, _BINARY_INDEX].astype(str)
-    ones = binary == "1"
-    if (not np.isfinite(continuous).all() or (continuous < 0).any()
-            or not (ones | (binary == "0")).all()):
-        raise _first_error(lines, numbers)
+        raise _first_error(stripped, first) from None
+    # The comparisons fail on NaN; the binary columns must read exactly 0/1.
+    if not (((numeric >= 0) & (numeric < math.inf)).all()
+            and all(_BINARY_VALUES.issuperset(flat[i::_FIELDS])
+                    for i in _BINARY_INDEX)):
+        raise _first_error(stripped, first)
 
-    values = np.empty((len(lines), len(ATTRIBUTE_NAMES)))
-    values[:, _CONTINUOUS_INDEX] = continuous
-    values[:, _BINARY_INDEX] = ones
+    values = np.empty((len(kept), len(ATTRIBUTE_NAMES)))
+    values[:, _NUMERIC_INDEX] = numeric
     for name in CODED_ATTRIBUTES:
-        values[:, _INDEX[name]] = _codes(fields[:, _INDEX[name]],
+        values[:, _INDEX[name]] = _codes(flat[_INDEX[name]::_FIELDS],
                                          vocabularies[name])
-    labels, inverse = np.unique(fields[:, -1].astype(str), return_inverse=True)
-    anomalous = np.array([binarize_label(label.rstrip(".")) == ANOMALOUS
-                          for label in labels.tolist()], dtype=bool)
-    return values, anomalous[inverse]
+    labels = flat[_FIELDS - 1::_FIELDS]
+    anomalous = {label: binarize_label(label.rstrip(".")) == ANOMALOUS
+                 for label in set(labels)}
+    return values, np.fromiter(map(anomalous.__getitem__, labels), bool,
+                               len(labels))
 
 
-def parse_kdd_lines(lines: Iterable[str]) -> KddTable:
-    """Parse KDD-format lines into a table.
-
-    Lines are numbered from 1 and blank ones are skipped. Every line needs 42
-    fields; continuous fields must be finite, non-negative numbers and the
-    binary nominals 0 or 1. The first malformed field raises a ParseError
-    naming its line. Lines are converted in fixed-size chunks, so a file is
-    never held as text in full.
-    """
+def _table(chunks: Iterable[list[str]]) -> KddTable:
+    """The table of consecutive chunks of text lines, every chunk but the
+    last ``_CHUNK_LINES`` lines long."""
     vocabularies: dict[str, dict[str, int]] = {
         name: {} for name in CODED_ATTRIBUTES
     }
-    numbered = ((number, line.strip())
-                for number, line in enumerate(lines, start=1))
-    nonblank = ((number, line) for number, line in numbered if line)
     values = [np.empty((0, len(ATTRIBUTE_NAMES)))]
     anomalous = [np.empty(0, dtype=bool)]
-    while chunk := list(itertools.islice(nonblank, _CHUNK_LINES)):
-        numbers, stripped = zip(*chunk)
-        rows, flags = _convert(stripped, numbers, vocabularies)
+    for index, lines in enumerate(chunks):
+        rows, flags = _convert(lines, 1 + index * _CHUNK_LINES, vocabularies)
         values.append(rows)
         anomalous.append(flags)
     return KddTable(
@@ -224,20 +247,61 @@ def parse_kdd_lines(lines: Iterable[str]) -> KddTable:
     )
 
 
-def _decoded(handle: Iterable[bytes]) -> Iterator[str]:
-    number = 0
+def parse_kdd_lines(lines: Iterable[str]) -> KddTable:
+    """Parse KDD-format lines into a table.
+
+    Lines are numbered from 1, stripped, and blank ones are skipped. Every
+    line needs 42 fields. Continuous fields must be finite, non-negative
+    numbers in ``np.loadtxt``'s grammar: Python's ``float()`` syntax, with
+    surrounding whitespace, ``inf`` and ``nan`` spellings and overflow to
+    inf as there, but ASCII digits only and no ``_`` digit separators. The
+    binary nominals must be exactly ``0`` or ``1``. The first malformed field
+    raises a ParseError naming its line. Lines are converted
+    ``_CHUNK_LINES`` at a time: the numeric columns by one ``np.loadtxt``
+    call, the coded nominals and labels from one split of the joined chunk,
+    so a file is never held as text in full.
+    """
+    lines = iter(lines)
+    return _table(iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)),
+                       []))
+
+
+def _undecodable(raw: Sequence[bytes], first: int) -> ParseError:
+    """The error of the first line of a chunk that is not UTF-8. No
+    multi-byte character contains the b"\\n" that ends each line, so the
+    line that breaks the chunk's decode breaks alone too."""
+    for number, line in enumerate(raw, start=first):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(
+                f"line {number}: undecodable bytes ({exc.reason} "
+                f"at byte {exc.start})"
+            )
+    raise AssertionError("chunk undecodable but every line decodes")
+
+
+def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
+    """The lines of a binary file, ``_CHUNK_LINES`` at a time, each chunk
+    decoded as one string and split at its line ends."""
+    first = 1
     try:
-        for number, line in enumerate(handle, start=1):
+        while True:
+            raw: list[bytes] = []
+            # list.extend keeps the lines read before a gzip error, so the
+            # error below names the line the stream broke in.
+            raw.extend(itertools.islice(handle, _CHUNK_LINES))
+            if not raw:
+                return
             try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    f"line {number}: undecodable bytes ({exc.reason} "
-                    f"at byte {exc.start})"
-                ) from None
+                text = b"".join(raw).decode("utf-8")
+            except UnicodeDecodeError:
+                raise _undecodable(raw, first) from None
+            yield text.split("\n")
+            first += len(raw)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ParseError(
-            f"line {number + 1}: corrupt gzip data ({exc})"
+            f"line {first + len(raw)}: corrupt gzip data ({exc})"
         ) from None
 
 
@@ -250,7 +314,7 @@ def read_kdd_file(path: str | Path) -> KddTable:
         compressed = handle.read(2) == _GZIP_MAGIC
     opener = gzip.open if compressed else open
     with opener(path, "rb") as handle:
-        return parse_kdd_lines(_decoded(handle))
+        return _table(_decoded(handle))
 
 
 def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:

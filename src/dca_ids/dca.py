@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -55,6 +55,14 @@ class PresentationLog:
 class DcaConfig:
     """Run parameters; defaults follow the reference experiment setup."""
 
+    # A population of 2**16 cells holds a few MB of per-cell lists.
+    MAX_POPULATION: ClassVar[int] = 2**16
+    # Per type, the mature tally is a float sum of up to multiplier x
+    # records copies, exact while that stays below 2**53: at 2**20 for any
+    # stream under 2**33 records. One step's permutation of the copies is
+    # then at most 8 MB.
+    MAX_MULTIPLIER: ClassVar[int] = 2**20
+
     population_size: int = 100
     threshold_low: float = 100.0
     threshold_high: float = 300.0
@@ -66,6 +74,9 @@ class DcaConfig:
     def __post_init__(self):
         if self.population_size < 1:
             raise ConfigurationError("population_size must be >= 1")
+        if self.population_size > self.MAX_POPULATION:
+            raise ConfigurationError(
+                f"population_size must be <= {self.MAX_POPULATION}")
         if not 0 < self.cells_per_step <= self.population_size:
             raise ConfigurationError(
                 "cells_per_step must be in [1, population_size]"
@@ -76,6 +87,9 @@ class DcaConfig:
                                      "low <= high, with a finite span")
         if self.multiplier < 1:
             raise ConfigurationError("multiplier must be >= 1")
+        if self.multiplier > self.MAX_MULTIPLIER:
+            raise ConfigurationError(
+                f"multiplier must be <= {self.MAX_MULTIPLIER}")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
         if not 0.0 <= self.mcav_threshold <= 1.0:

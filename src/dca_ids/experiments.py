@@ -88,6 +88,9 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be >= 0")
         if any(k < 1 for k in self.multipliers):
             raise ConfigurationError("multipliers must be >= 1")
+        if max(self.multipliers) > DcaConfig.MAX_MULTIPLIER:
+            raise ConfigurationError(
+                f"multipliers must be <= {DcaConfig.MAX_MULTIPLIER}")
         if any(w < 1 for w in self.windows):
             raise ConfigurationError("window sizes must be >= 1")
         if any(d < 1 for d in self.dimensions):

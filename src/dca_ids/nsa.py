@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -146,6 +146,10 @@ def classify_points(
 
 @dataclass
 class NsaParams:
+    # The accepted detectors of a run are at most 2**20 x d floats (80 MB
+    # at d = 10), drawn from at most 100 x that many candidates.
+    MAX_DETECTORS: ClassVar[int] = 2**20
+
     self_radius: float = DEFAULT_SELF_RADIUS
     detector_radius: float = DEFAULT_DETECTOR_RADIUS
     detector_count: int = 1000
@@ -158,6 +162,9 @@ class NsaParams:
             raise ConfigurationError("detector radius must be finite and > 0")
         if self.detector_count < 1:
             raise ConfigurationError("detector count must be >= 1")
+        if self.detector_count > self.MAX_DETECTORS:
+            raise ConfigurationError(
+                f"detector count must be <= {self.MAX_DETECTORS}")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ConfigurationError("max attempts must be >= 1")
 

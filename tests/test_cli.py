@@ -18,9 +18,11 @@ from dca_ids import experiments
 from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
                          _experiment_config, build_parser, main)
 from dca_ids.dataset import ANOMALOUS
+from dca_ids.dca import DcaConfig
 from dca_ids.evaluation import ConfusionRates, mann_whitney_two_sided
 from dca_ids.experiments import (RATE_COLUMNS, ExperimentConfig, SweepPoint,
                                  emit_report)
+from dca_ids.nsa import NsaParams
 
 from conftest import anomalous_line, make_line, normal_line
 from test_golden_reports import TYPES, golden_lines
@@ -450,6 +452,14 @@ class TestErrorPaths:
         (["e2", "--max-attempts", "-5"], "max attempts must be >= 1"),
         (["e2", "--dimensions", "2,11"],
          "dimension 11 exceeds the 10 configured attributes"),
+        (["e1.2", "--multipliers", "5,9223372036854775808"],
+         "multipliers must be <= 1048576"),
+        (["custom", "--multiplier", "100000000000000000000"],
+         "multiplier must be <= 1048576"),
+        (["e1.1", "--population", "100000000000000000000"],
+         "population_size must be <= 65536"),
+        (["e2", "--detectors", "100000000000000000000", "--dimensions", "3"],
+         "detector count must be <= 1048576"),
     ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
             "repeated-dimension", "repeated-multiplier", "repeated-window",
             "zero-multiplier", "one-fold", "negative-fold-seed",
@@ -458,7 +468,8 @@ class TestErrorPaths:
             "nan-self-radius", "negative-self-radius",
             "negative-detector-radius", "inf-detector-radius",
             "zero-detectors", "negative-max-attempts",
-            "dimension-beyond-attributes"])
+            "dimension-beyond-attributes", "huge-multipliers",
+            "huge-multiplier", "huge-population", "huge-detectors"])
     def test_sweep_options_checked_before_the_data_file(self, tmp_path,
                                                         capsys, argv,
                                                         message):
@@ -469,6 +480,21 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out"), *options])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["custom", f"--multiplier={DcaConfig.MAX_MULTIPLIER}",
+         f"--population={DcaConfig.MAX_POPULATION}"],
+        ["e1.2", f"--multipliers={DcaConfig.MAX_MULTIPLIER}"],
+        ["e2", f"--detectors={NsaParams.MAX_DETECTORS}", "--dimensions=3",
+         "--folds=2"],
+    ], ids=["custom", "e1.2", "e2"])
+    def test_largest_sizes_run(self, tmp_path, argv):
+        path = tmp_path / "data.kdd"
+        path.write_text("\n".join([normal_line()] * 5
+                                  + [anomalous_line()] * 5) + "\n")
+        command, *options = argv
+        assert main([command, str(path), "--out", str(tmp_path / "out"),
+                     "--seeds=1", *options]) == EXIT_OK
 
     @pytest.mark.parametrize("ranges,argv,message", [
         ("count DS 10 5 +\n", ["e1.1"],

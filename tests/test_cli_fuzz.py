@@ -30,7 +30,9 @@ COMMANDS = ("e1.1", "e1.2", "e1.3", "e2", "custom", "infogain")
 CLEAN_LINES = (normal_line(), anomalous_line(),
                make_line(protocol_type="udp", count=3),
                make_line(label="smurf.", serror_rate=0.7))
-FIELD_VALUES = ("", "x", "-1", "nan", "inf", "1e308", "0.5", "2", "\xff")
+# "1_0" and the non-ASCII digits are numbers to float() but not to loadtxt.
+FIELD_VALUES = ("", "x", "-1", "nan", "inf", "1e308", "0.5", "2", "\udcff",
+                "1_0", "\u0661\u0662", "\uff11")
 LABELS = ("normal.", "smurf.", "weird", "")
 # (lower, upper) of a range line or of the migration thresholds: ordinary,
 # extreme but finite, spans that overflow, and malformed
@@ -67,8 +69,9 @@ def data_file(draw):
     lines = draw(st.lists(st.sampled_from(CLEAN_LINES), max_size=20))
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(mutated_line()))
-    # latin-1 writes the "\xff" field value as that one non-UTF-8 byte
-    body = ("\n".join(lines) + "\n").encode("latin-1")
+    # surrogateescape writes the "\udcff" field value as the one
+    # non-UTF-8 byte 0xff
+    body = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
     packing = draw(st.sampled_from(["plain", "plain", "plain", "gzip",
                                     "truncated-gzip"]))
     if packing == "gzip":

@@ -3,14 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from dca_ids.cli import EXIT_PARSE, main
 from dca_ids.dataset import (
     ANOMALOUS,
     ATTRIBUTE_NAMES,
     BINARY_ATTRIBUTES,
     CODED_ATTRIBUTES,
     NORMAL,
+    _number,
     binarize_label,
     kfold_split,
     minmax_apply,
@@ -69,6 +71,33 @@ class TestParse:
                            r"\(count\) must be finite"):
             parse_kdd_lines([make_line(count=raw)])
 
+    @pytest.mark.parametrize("raw", ["1_0", "\u0661\u0662", "\uff11"])
+    def test_numbers_outside_loadtxt_grammar_exit_3(self, tmp_path, capsys,
+                                                     raw):
+        # float() reads these as 10, 12 and 1; np.loadtxt does not.
+        path = tmp_path / "data.kdd"
+        path.write_text(make_line() + "\n" + make_line(src_bytes=raw) + "\n",
+                        encoding="utf-8")
+        assert main(["infogain", str(path),
+                     "--out", str(tmp_path / "gain.tsv")]) == EXIT_PARSE
+        assert (f"line 2: non-numeric value {raw!r} in continuous column 5 "
+                "(src_bytes)") in capsys.readouterr().err
+
+    @given(st.text(st.sampled_from("0123456789.eE+-_ \t\r\n\xa0\x00"
+                                   "nafiINFy#\u0661\uff11x"), max_size=8))
+    @example("1_0")
+    @example(" \u0661")
+    @example("1\r")
+    def test_a_number_is_read_by_one_grammar(self, raw):
+        # The field is either rejected with a ParseError or read as the
+        # value _first_error's grammar gives it, never an AssertionError.
+        try:
+            table = parse_kdd_lines([make_line(duration=raw)])
+        except ParseError as exc:
+            assert "column 1 (duration)" in str(exc)
+            return
+        assert table.values[0, 0] == _number(raw)
+
     @pytest.mark.parametrize("raw", ["x", "2", "0.0", " 1"])
     def test_binary_nominal_must_be_0_or_1(self, raw):
         with pytest.raises(ParseError, match="line 1: binary column 12 "
@@ -81,6 +110,14 @@ class TestParse:
         lines[4000] = "1,2,3"
         with pytest.raises(ParseError, match="line 3000: binary column 7"):
             parse_kdd_lines(lines)
+
+    def test_nominals_and_labels_kept_exactly(self):
+        # A trailing NUL is part of the value, not padding to strip.
+        table = parse_kdd_lines([make_line(service="http"),
+                                 make_line(service="http\x00",
+                                           label="normal\x00")])
+        assert table.vocabularies["service"] == ("http", "http\x00")
+        assert table.anomalous.tolist() == [False, True]
 
     def test_codes_shared_across_chunks(self):
         services = ["http", "smtp", "private"]

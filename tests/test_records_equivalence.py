@@ -40,7 +40,7 @@ SERVICES = ("http", "smtp", "private", "ecr_i", "ftp_data", "domain_u",
 FLAGS = ("SF", "S0", "REJ", "RSTO")
 LABELS = ("normal.", "normal", "smurf.", "neptune.", "teardrop", "normal..")
 BINARY = ("land", "logged_in", "is_host_login", "is_guest_login")
-# Ways of writing a number that Python's float() reads.
+# Ways of writing a number that Python's float() and np.loadtxt both read.
 FORMATS = (
     lambda v: f"{int(v)}",
     lambda v: f"{v:.2f}",
@@ -51,7 +51,6 @@ FORMATS = (
     lambda v: f"{v:.4f}".lstrip("0") or "0",
     lambda v: f"+{v:.1f}",
     lambda v: f" {v:.3f} ",
-    lambda v: f"{int(v):_}",
 )
 
 
@@ -85,7 +84,7 @@ def random_lines(n, seed):
                 else:
                     value = float(np.floor(rng.lognormal(3.0, 2.0)))
                 fmt = FORMATS[rng.integers(len(FORMATS))]
-                if fmt in (FORMATS[0], FORMATS[-1]):
+                if fmt is FORMATS[0]:
                     value = float(np.floor(value))
                 fields.append(fmt(value))
         label = (LABELS[2 + rng.integers(4)] if attack
