@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import logging
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +71,7 @@ class ExperimentConfig:
     fold_seed: int = 1
     range_config_path: Path | None = None
     write_mcav_tables: bool = True
+    jobs: int | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -97,6 +100,8 @@ class ExperimentConfig:
             raise ConfigurationError("dimensions must be >= 1")
         if self.folds < 2:
             raise ConfigurationError(f"folds must be >= 2, got {self.folds}")
+        if self.jobs is not None and self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,7 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     mcav_dir = out_dir / "mcav" if config.write_mcav_tables else None
     (mcav_dir or out_dir).mkdir(parents=True, exist_ok=True)
 
+    workers = 1
     if config.experiment == "E2":
         points = _run_e2(config, table, attributes)
     else:
@@ -165,19 +171,91 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         stream = AntigenTypes.of(table)
         signals = signal_stream(table, ranges or default_signal_config(table))
         del table
-        points = _run_e1(config, stream, signals, mcav_dir)
+        workers = _e1_workers(config.jobs, len(config.seeds))
+        points = _run_e1(config, stream, signals, mcav_dir, workers)
 
-    emit_report(points, config, out_dir)
+    emit_report(points, config, out_dir, workers)
     return points
 
 
+def _e1_workers(jobs: int | None, seeds: int) -> int:
+    """Worker processes for an E1 family's ``seeds`` seed tasks: ``jobs``
+    (default: one per usable CPU), at most one per seed and one per usable
+    CPU, and 1 where the ``fork`` start method is unavailable."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs or cpus, seeds, cpus)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
+# (mcav, presentation log, elapsed seconds) of one DCA run.
+DcaRun = tuple[np.ndarray, PresentationLog, float]
+
+
+def _seed_runs(antigens: np.ndarray, signals: np.ndarray,
+               configs: Sequence[DcaConfig], seed: int) -> list[DcaRun]:
+    """One seed task: the seed's DCA run of each config, in config order."""
+    runs = []
+    for config in configs:
+        start = time.perf_counter()
+        mcav, log = run_dca_with_log(antigens, signals, config, seed)
+        runs.append((mcav, log, time.perf_counter() - start))
+    return runs
+
+
+# The seed task of a forked pool worker, set in the worker by ``_adopt``.
+_worker_task: Callable[[int], list[DcaRun]] | None = None
+
+
+def _adopt(task: Callable[[int], list[DcaRun]]) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_adopted(seed: int) -> list[DcaRun]:
+    return _worker_task(seed)
+
+
+@contextlib.contextmanager
+def _seed_results(task: Callable[[int], list[DcaRun]], seeds: Sequence[int],
+                  workers: int) -> Iterator[Iterator[list[DcaRun]]]:
+    """``task(seed)`` for each seed, yielded in seed order as each arrives:
+    run in this process with one worker, else in a pool of forked ones.
+
+    Fork hands each worker ``task`` and the streams it holds without
+    pickling them, and ``run_dca_with_log`` is looked up in this module
+    there as here. The pool forks every worker before it starts its own
+    thread. On leaving, pending tasks are cancelled and every worker is
+    joined, whether the results were all read or an error cut them short."""
+    if workers == 1:
+        yield map(task, seeds)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(task,))
+    try:
+        yield pool.map(_run_adopted, seeds)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _run_e1(config: ExperimentConfig, stream: AntigenTypes,
-            signals: np.ndarray, mcav_dir: Path | None) -> list[SweepPoint]:
+            signals: np.ndarray, mcav_dir: Path | None,
+            workers: int) -> list[SweepPoint]:
     """The base run (k = 1, w = 1), then one point per (parameter,
     DcaConfig) of the family's sweep, each compared against the base.
 
-    The loop is seed-major: every point of one seed runs before the next
-    seed."""
+    One task per seed runs every point of that seed, on ``workers``
+    processes. The runs are scored, written and logged here, in seed order,
+    so the reports do not depend on ``workers``."""
     dca = config.dca
     points = [("E1.1", "-", dataclasses.replace(dca, multiplier=1, window=1))]
     if config.experiment == "E1.2":
@@ -193,25 +271,26 @@ def _run_e1(config: ExperimentConfig, stream: AntigenTypes,
 
     truth = stream.anomalous_share > dca.mcav_threshold
     per_point: list[list[ConfusionRates]] = [[] for _ in points]
-    for seed in config.seeds:
-        for (category, parameter, point_dca), per_seed in zip(
-                points, per_point):
-            start = time.perf_counter()
-            mcav, log = run_dca_with_log(stream.codes, signals, point_dca,
-                                         seed)
-            anomalous = mcav > dca.mcav_threshold
-            rates = confusion_from_instances(anomalous, truth, stream.counts)
-            per_seed.append(rates)
-            if mcav_dir is not None:
-                safe_param = parameter.replace("=", "_")
-                write_mcav_table(
-                    mcav, log, anomalous,
-                    mcav_dir / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
-                    stream.names,
-                )
-            logger.info("%s %s seed=%d tp=%.4f fp=%s elapsed=%.2fs", category,
-                        parameter, seed, rates.tp_rate, _fmt(rates.fp_rate),
-                        time.perf_counter() - start)
+    task = functools.partial(_seed_runs, stream.codes, signals,
+                             [point_dca for *_, point_dca in points])
+    with _seed_results(task, config.seeds, workers) as results:
+        for seed, runs in zip(config.seeds, results):
+            for (category, parameter, _), per_seed, (mcav, log, elapsed) in (
+                    zip(points, per_point, runs)):
+                anomalous = mcav > dca.mcav_threshold
+                rates = confusion_from_instances(anomalous, truth,
+                                                 stream.counts)
+                per_seed.append(rates)
+                if mcav_dir is not None:
+                    safe_param = parameter.replace("=", "_")
+                    write_mcav_table(
+                        mcav, log, anomalous, mcav_dir
+                        / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
+                        stream.names,
+                    )
+                logger.info("%s %s seed=%d tp=%.4f fp=%s elapsed=%.2fs",
+                            category, parameter, seed, rates.tp_rate,
+                            _fmt(rates.fp_rate), elapsed)
 
     base = SweepPoint("E1.1", "-", tuple(per_point[0]))
     base_tp = [r.tp_rate for r in base.per_seed]
@@ -287,10 +366,11 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
-                out_dir: Path) -> None:
+                out_dir: Path, workers: int = 1) -> None:
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
-    appendix and provenance (one line per config field). Content is
-    deterministic per config."""
+    appendix and provenance (one line per config field, then the worker
+    processes the run used and the Python and numpy versions). The report
+    bodies are deterministic per config."""
     if not points:
         raise ReportError("no results to report")
     out_dir = Path(out_dir)
@@ -322,6 +402,9 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
     _write_lines(out_dir / "provenance.txt", [
         f"dca-ids {__version__}",
         *_field_lines(config),
+        f"workers: {workers}",
+        "python: {}.{}.{}".format(*sys.version_info[:3]),
+        f"numpy: {np.__version__}",
         "time_window: forward mean",
         f"alpha: {ALPHA}",
         "",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -185,7 +186,8 @@ def run_nsa(
     min-max bounds fit on the training rows and applied to the whole matrix
     (per column, so a dimension d takes the first d columns); per (fold, d),
     one ``Censor`` over the normal training rows. Returns, per dimension, one
-    fold-averaged ConfusionRates per seed, in seed order. A fold without any
+    fold-averaged ConfusionRates per seed, in seed order. Each fold run logs
+    one info line with its elapsed seconds. A fold without any
     normal training instance is skipped with one warning; runs that return
     fewer detectors than asked get one warning per dimension, which counts
     those whose self set covers the cube and those that exhausted their
@@ -201,7 +203,9 @@ def run_nsa(
     per_dimension = [[[] for _ in seeds] for _ in dimensions]
     # (covers_cube, detector count) of each short (fold, seed) run
     short = [[] for _ in dimensions]
-    for fold in range(int(folds.max()) + 1):
+    fold_count = int(folds.max()) + 1
+    for fold in range(fold_count):
+        start = time.perf_counter()
         test_mask = folds == fold
         self_mask = ~test_mask & ~table.anomalous
         if not self_mask.any():
@@ -224,6 +228,8 @@ def run_nsa(
                 predictions = classify_points(test_points[:, :d], detectors,
                                               params.detector_radius)
                 per_fold.append(confusion_from_instances(predictions, truth))
+        logger.info("E2 fold %d of %d elapsed=%.2fs", fold + 1, fold_count,
+                    time.perf_counter() - start)
     if not per_dimension[0][0]:
         raise ConfigurationError("every fold was skipped; no results")
     budget = (params.max_attempts

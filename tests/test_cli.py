@@ -1,9 +1,11 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import gc
 import gzip
 import logging
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dca_ids
@@ -19,6 +22,7 @@ from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
                          _experiment_config, build_parser, main)
 from dca_ids.dataset import ANOMALOUS
 from dca_ids.dca import DcaConfig
+from dca_ids.errors import ConfigurationError
 from dca_ids.evaluation import ConfusionRates, mann_whitney_two_sided
 from dca_ids.experiments import (RATE_COLUMNS, ExperimentConfig, SweepPoint,
                                  emit_report)
@@ -30,6 +34,13 @@ from test_golden_reports import TYPES, golden_lines
 
 # A range file that leaves the safe-signal (SS) category empty.
 PARTIAL_RANGES = "serror_rate PAMP 0 1 +\ncount DS 0 511 +\n"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that ``--jobs 2`` forks two workers on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
 
 
 def read_rows(path):
@@ -117,7 +128,7 @@ class TestE1Commands:
         monkeypatch.setattr(experiments, "run_dca_with_log", recording_run)
         caplog.set_level(logging.INFO, logger="dca_ids.experiments")
         assert main(["e1.2", str(synthetic_dataset), "--out",
-                     str(tmp_path / "out"), "--seeds", "1,2",
+                     str(tmp_path / "out"), "--seeds", "1,2", "--jobs", "1",
                      "--multipliers", "5,10", "--no-mcav-tables"]) == EXIT_OK
         assert calls == [(1, 1), (1, 5), (1, 10), (2, 1), (2, 5), (2, 10)]
         runs = [r.getMessage() for r in caplog.records
@@ -171,6 +182,120 @@ class TestE1Commands:
             assert sweep_rates(str(window)) == whole
 
 
+class TestJobs:
+    @pytest.mark.parametrize("command,options", [
+        ("e1.1", []),
+        ("e1.2", ["--multipliers", "5,10"]),
+        ("e1.3", ["--windows", "2,5"]),
+        ("custom", ["--multiplier", "3", "--window", "2"]),
+    ])
+    def test_one_and_two_jobs_write_the_same_reports(
+            self, synthetic_dataset, tmp_path, caplog, two_cpus, command,
+            options):
+        caplog.set_level(logging.INFO, logger="dca_ids.experiments")
+        reports, runs = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            caplog.clear()
+            assert main([command, str(synthetic_dataset), "--out", str(out),
+                         "--seeds", "1,2,3", "--jobs", jobs,
+                         *options]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            assert f"workers: {jobs}" in (
+                out / "provenance.txt").read_text().splitlines()
+            reports[jobs] = {path.relative_to(out): path.read_bytes()
+                             for path in out.rglob("*.tsv")}
+            runs[jobs] = [r.getMessage().split(" elapsed=")[0]
+                          for r in caplog.records
+                          if r.name == "dca_ids.experiments"]
+        assert len(reports["1"]) > 3
+        assert reports["2"] == reports["1"]
+        seeds = [int(re.search(r" seed=(\d+)", m)[1]) for m in runs["1"]]
+        assert seeds == sorted(seeds)
+        assert runs["2"] == runs["1"]
+
+    def test_worker_error_keeps_its_exit_code(self, synthetic_dataset,
+                                              tmp_path, monkeypatch, capfd,
+                                              two_cpus):
+        parent = os.getpid()
+
+        def failing_run(antigens, signals, config, seed):
+            where = "the parent" if os.getpid() == parent else "a worker"
+            raise ConfigurationError(f"seed {seed} failed in {where}")
+
+        # fork carries the patch into the workers
+        monkeypatch.setattr(experiments, "run_dca_with_log", failing_run)
+        code = main(["e1.2", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1,2", "--jobs", "2",
+                     "--multipliers", "5"])
+        assert code == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert "configuration error: seed 1 failed in a worker" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def record_pools(monkeypatch, cpus):
+        """Replace the pool with a stub that records the workers and fork
+        context it is asked for and runs the tasks in this process."""
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context, initializer,
+                         initargs):
+                requested.append((max_workers,
+                                  mp_context.get_start_method()))
+                initializer(*initargs)
+
+            def map(self, fn, seeds):
+                return map(fn, seeds)
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(experiments, "_worker_task", None)
+        return requested
+
+    @pytest.mark.parametrize("seeds,jobs,workers", [
+        ("1,2,3,4,5", str(10**9), 3),
+        ("1,2,3,4,5", None, 3),
+        ("1,2", str(10**9), 2),
+        ("1,2,3,4,5", "2", 2),
+    ], ids=["huge-jobs", "default-jobs", "two-seeds", "two-jobs"])
+    def test_workers_bounded_by_cpus_and_seeds(self, synthetic_dataset,
+                                               tmp_path, monkeypatch, seeds,
+                                               jobs, workers):
+        requested = self.record_pools(monkeypatch, cpus=3)
+        out = tmp_path / "out"
+        assert main(["e1.1", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", seeds, "--no-mcav-tables",
+                     *(["--jobs", jobs] if jobs else [])]) == EXIT_OK
+        assert requested == [(workers, "fork")]
+        assert multiprocessing.active_children() == []
+        assert f"workers: {workers}" in (
+            out / "provenance.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("cpus,methods", [(1, ["fork", "spawn"]),
+                                              (3, ["spawn"])],
+                             ids=["one-cpu", "no-fork"])
+    def test_one_worker_runs_without_a_pool(self, synthetic_dataset,
+                                            tmp_path, monkeypatch, cpus,
+                                            methods):
+        requested = self.record_pools(monkeypatch, cpus)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: methods)
+        out = tmp_path / "out"
+        assert main(["e1.1", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1,2,3", "--jobs", "3",
+                     "--no-mcav-tables"]) == EXIT_OK
+        assert requested == []
+        assert "workers: 1" in (out / "provenance.txt").read_text().splitlines()
+
+
 class TestE2Command:
     def test_e2_sweep(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"
@@ -195,6 +320,19 @@ class TestE2Command:
                      "--seeds", "1,2", "--dimensions", "2", "--folds", "4"])
         assert code == EXIT_CONFIG
         assert "every fold was skipped" in capsys.readouterr().err
+
+    def test_each_fold_logs_its_elapsed_seconds(self, synthetic_dataset,
+                                                tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="dca_ids.nsa")
+        assert main(["e2", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1,2",
+                     "--dimensions", "2,3", "--folds", "4", "--detectors",
+                     "20", "-v"]) == EXIT_OK
+        folds = [r.getMessage() for r in caplog.records
+                 if r.name == "dca_ids.nsa" and r.levelno == logging.INFO]
+        assert [m.split(" elapsed=")[0] for m in folds] == [
+            f"E2 fold {fold} of 4" for fold in range(1, 5)]
+        assert all(re.search(r" elapsed=\d+\.\d\ds$", m) for m in folds)
 
 
 class TestProvenance:
@@ -227,7 +365,7 @@ class TestProvenance:
 
     def test_one_line_per_config_field(self, synthetic_dataset, tmp_path):
         lines = self.provenance(["e1.1", str(synthetic_dataset)], tmp_path)
-        names = [line.split(":")[0] for line in lines[1:-4]]
+        names = [line.split(":")[0] for line in lines[1:-7]]
         config = ExperimentConfig("E1.1", synthetic_dataset, tmp_path)
         expected = []
         for f in dataclasses.fields(config):
@@ -236,7 +374,10 @@ class TestProvenance:
                           for g in dataclasses.fields(value)]
                          if dataclasses.is_dataclass(value) else [f.name])
         assert names == expected
-        assert lines[-4:-2] == ["time_window: forward mean", "alpha: 0.05"]
+        assert lines[-7:-2] == [
+            "workers: 1", "python: {}.{}.{}".format(*sys.version_info[:3]),
+            f"numpy: {np.__version__}", "time_window: forward mean",
+            "alpha: 0.05"]
 
 
 class TestInfogain:
@@ -261,7 +402,7 @@ class TestInfogain:
 
 COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "--no-mcav-tables", "-v",
                   "--verbose"]
-DCA_OPTIONS = ["--population", "--cells-per-step", "--threshold-low",
+DCA_OPTIONS = ["--jobs", "--population", "--cells-per-step", "--threshold-low",
                "--threshold-high", "--mcav-threshold"]
 NSA_OPTIONS = ["--self-radius", "--detector-radius", "--detectors",
                "--max-attempts", "--folds", "--fold-seed"]
@@ -287,6 +428,7 @@ FLAG_FIELDS = {
     "--seeds": ("3,4", "seeds", (3, 4)),
     "--ranges": ("r.conf", "range_config_path", Path("r.conf")),
     "--no-mcav-tables": (None, "write_mcav_tables", False),
+    "--jobs": ("2", "jobs", 2),
     "--population": ("50", "dca.population_size", 50),
     "--cells-per-step": ("5", "dca.cells_per_step", 5),
     "--threshold-low": ("50.5", "dca.threshold_low", 50.5),
@@ -433,6 +575,8 @@ class TestErrorPaths:
         (["e1.2", "--multipliers", "0"], "multipliers must be >= 1"),
         (["e2", "--folds", "1"], "folds must be >= 2"),
         (["e2", "--fold-seed", "-1"], "seeds must be >= 0"),
+        (["e1.2", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["custom", "--jobs", "-2"], "jobs must be >= 1, got -2"),
         (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
         (["e1.1", "--threshold-low", "nan"],
          "migration thresholds must be finite"),
@@ -463,6 +607,7 @@ class TestErrorPaths:
     ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
             "repeated-dimension", "repeated-multiplier", "repeated-window",
             "zero-multiplier", "one-fold", "negative-fold-seed",
+            "zero-jobs", "negative-jobs",
             "negative-seed", "nan-threshold", "inf-thresholds",
             "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",
@@ -625,6 +770,24 @@ class TestImport:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
         assert (tmp_path / "e12" / "mannwhitney.tsv").exists()
+
+    def test_cli_and_a_one_seed_e1_run_leave_the_pool_unloaded(
+            self, synthetic_dataset, tmp_path):
+        # One worker runs in this process: starting the CLI and a one-seed
+        # run pay nothing for the process pool.
+        src = Path(dca_ids.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = (
+            "import sys, dca_ids.cli; dca_ids.cli.build_parser(); "
+            f"assert dca_ids.cli.main(['e1.2', {str(synthetic_dataset)!r}, "
+            f"'--out', {str(tmp_path / 'e12')!r}, '--seeds', '1', "
+            "'--multipliers', '5']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestReports:

@@ -11,6 +11,7 @@ anomalous, one purely normal, and five mixed, two of them with an anomalous
 share above the 0.8 truth cut, two below it and one exactly on it.
 """
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -177,5 +178,19 @@ def test_report_bodies_match_recorded_digests(command, data_file, tmp_path):
     out = tmp_path / "out"
     code = main([command, str(data_file), "--out", str(out),
                  "--seeds", "1,2", *RUNS[command]])
+    assert code == EXIT_OK
+    assert report_digests(out) == EXPECTED[command]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(set(RUNS) - {"e2"}))
+def test_report_bodies_match_at_one_and_two_jobs(command, jobs, data_file,
+                                                 tmp_path, monkeypatch):
+    # two usable CPUs, so that --jobs 2 forks two workers on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    out = tmp_path / "out"
+    code = main([command, str(data_file), "--out", str(out),
+                 "--seeds", "1,2", "--jobs", jobs, *RUNS[command]])
     assert code == EXIT_OK
     assert report_digests(out) == EXPECTED[command]
