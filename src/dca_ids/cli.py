@@ -50,10 +50,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_dca_params(parser: argparse.ArgumentParser) -> None:
-    """The flags of the four DCA families: e1.1, e1.2, e1.3 and custom."""
-    parser.add_argument("--jobs", type=int,
-                        help="worker processes running the seeds (default: "
-                             "one per usable CPU, at most one per seed)")
     parser.add_argument("--population", dest="population_size", type=int)
     parser.add_argument("--cells-per-step", type=int)
     parser.add_argument("--threshold-low", type=float)

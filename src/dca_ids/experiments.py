@@ -71,7 +71,6 @@ class ExperimentConfig:
     fold_seed: int = 1
     range_config_path: Path | None = None
     write_mcav_tables: bool = True
-    jobs: int | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -100,8 +99,6 @@ class ExperimentConfig:
             raise ConfigurationError("dimensions must be >= 1")
         if self.folds < 2:
             raise ConfigurationError(f"folds must be >= 2, got {self.folds}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -171,20 +168,20 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         stream = AntigenTypes.of(table)
         signals = signal_stream(table, ranges or default_signal_config(table))
         del table
-        workers = _e1_workers(config.jobs, len(config.seeds))
+        workers = _e1_workers(len(config.seeds))
         points = _run_e1(config, stream, signals, mcav_dir, workers)
 
     emit_report(points, config, out_dir, workers)
     return points
 
 
-def _e1_workers(jobs: int | None, seeds: int) -> int:
-    """Worker processes for an E1 family's ``seeds`` seed tasks: ``jobs``
-    (default: one per usable CPU), at most one per seed and one per usable
-    CPU, and 1 where the ``fork`` start method is unavailable."""
+def _e1_workers(seeds: int) -> int:
+    """Worker processes for an E1 family's ``seeds`` seed tasks: one per
+    usable CPU (the CPU affinity set where the platform has one), at most
+    one per seed, and 1 where the ``fork`` start method is unavailable."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(jobs or cpus, seeds, cpus)
+    workers = min(seeds, cpus)
     if workers > 1:
         import multiprocessing
 

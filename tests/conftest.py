@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,34 @@ def normal_line(service="http", flag="SF"):
         srv_diff_host_rate=0.9,
         dst_host_count=250,
     )
+
+
+# On Python 3.12 and later, os.fork() in a process that has threads (numpy's
+# BLAS threads count) emits this DeprecationWarning, which the test settings
+# turn into an error. Only the tests that fork E1 seed workers ignore it.
+forks = pytest.mark.filterwarnings(
+    r"ignore:This process .*is multi-threaded, use of fork\(\) may lead to "
+    r"deadlocks:DeprecationWarning")
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make ``os.sched_getaffinity`` report ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture(autouse=True)
+def one_cpu(monkeypatch):
+    """One usable CPU, so that an E1 run takes its in-process path on any
+    host unless a test asks for ``two_cpus``."""
+    usable_cpus(monkeypatch, 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that an E1 run of two or more seeds forks two
+    workers on any host. A test using it needs the ``forks`` mark."""
+    usable_cpus(monkeypatch, 2)
 
 
 @pytest.fixture

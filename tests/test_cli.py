@@ -28,19 +28,13 @@ from dca_ids.experiments import (RATE_COLUMNS, ExperimentConfig, SweepPoint,
                                  emit_report)
 from dca_ids.nsa import NsaParams
 
-from conftest import anomalous_line, make_line, normal_line
+from conftest import (anomalous_line, forks, make_line, normal_line,
+                      usable_cpus)
 from test_golden_reports import TYPES, golden_lines
 
 
 # A range file that leaves the safe-signal (SS) category empty.
 PARTIAL_RANGES = "serror_rate PAMP 0 1 +\ncount DS 0 511 +\n"
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, so that ``--jobs 2`` forks two workers on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
 
 
 def read_rows(path):
@@ -115,9 +109,10 @@ class TestE1Commands:
             assert (out_a / name).read_text() == (out_b / name).read_text()
 
     def test_runs_are_seed_major(self, synthetic_dataset, tmp_path,
-                                 monkeypatch, caplog):
+                                 monkeypatch, caplog, one_cpu):
         # Every point of one seed runs before the next seed: the unit a
-        # per-seed task of a family is built on.
+        # per-seed task of a family is built on. With one usable CPU the
+        # runs are recorded in this process.
         calls = []
         run = experiments.run_dca_with_log
 
@@ -128,7 +123,7 @@ class TestE1Commands:
         monkeypatch.setattr(experiments, "run_dca_with_log", recording_run)
         caplog.set_level(logging.INFO, logger="dca_ids.experiments")
         assert main(["e1.2", str(synthetic_dataset), "--out",
-                     str(tmp_path / "out"), "--seeds", "1,2", "--jobs", "1",
+                     str(tmp_path / "out"), "--seeds", "1,2",
                      "--multipliers", "5,10", "--no-mcav-tables"]) == EXIT_OK
         assert calls == [(1, 1), (1, 5), (1, 10), (2, 1), (2, 5), (2, 10)]
         runs = [r.getMessage() for r in caplog.records
@@ -182,38 +177,40 @@ class TestE1Commands:
             assert sweep_rates(str(window)) == whole
 
 
-class TestJobs:
+class TestWorkers:
+    @forks
     @pytest.mark.parametrize("command,options", [
         ("e1.1", []),
         ("e1.2", ["--multipliers", "5,10"]),
         ("e1.3", ["--windows", "2,5"]),
         ("custom", ["--multiplier", "3", "--window", "2"]),
     ])
-    def test_one_and_two_jobs_write_the_same_reports(
-            self, synthetic_dataset, tmp_path, caplog, two_cpus, command,
+    def test_one_and_two_workers_write_the_same_reports(
+            self, synthetic_dataset, tmp_path, caplog, monkeypatch, command,
             options):
         caplog.set_level(logging.INFO, logger="dca_ids.experiments")
         reports, runs = {}, {}
-        for jobs in ("1", "2"):
-            out = tmp_path / jobs
+        for workers in (1, 2):
+            usable_cpus(monkeypatch, workers)
+            out = tmp_path / str(workers)
             caplog.clear()
             assert main([command, str(synthetic_dataset), "--out", str(out),
-                         "--seeds", "1,2,3", "--jobs", jobs,
-                         *options]) == EXIT_OK
+                         "--seeds", "1,2,3", *options]) == EXIT_OK
             assert multiprocessing.active_children() == []
-            assert f"workers: {jobs}" in (
+            assert f"workers: {workers}" in (
                 out / "provenance.txt").read_text().splitlines()
-            reports[jobs] = {path.relative_to(out): path.read_bytes()
-                             for path in out.rglob("*.tsv")}
-            runs[jobs] = [r.getMessage().split(" elapsed=")[0]
-                          for r in caplog.records
-                          if r.name == "dca_ids.experiments"]
-        assert len(reports["1"]) > 3
-        assert reports["2"] == reports["1"]
-        seeds = [int(re.search(r" seed=(\d+)", m)[1]) for m in runs["1"]]
+            reports[workers] = {path.relative_to(out): path.read_bytes()
+                                for path in out.rglob("*.tsv")}
+            runs[workers] = [r.getMessage().split(" elapsed=")[0]
+                             for r in caplog.records
+                             if r.name == "dca_ids.experiments"]
+        assert len(reports[1]) > 3
+        assert reports[2] == reports[1]
+        seeds = [int(re.search(r" seed=(\d+)", m)[1]) for m in runs[1]]
         assert seeds == sorted(seeds)
-        assert runs["2"] == runs["1"]
+        assert runs[2] == runs[1]
 
+    @forks
     def test_worker_error_keeps_its_exit_code(self, synthetic_dataset,
                                               tmp_path, monkeypatch, capfd,
                                               two_cpus):
@@ -226,7 +223,7 @@ class TestJobs:
         # fork carries the patch into the workers
         monkeypatch.setattr(experiments, "run_dca_with_log", failing_run)
         code = main(["e1.2", str(synthetic_dataset), "--out",
-                     str(tmp_path / "out"), "--seeds", "1,2", "--jobs", "2",
+                     str(tmp_path / "out"), "--seeds", "1,2",
                      "--multipliers", "5"])
         assert code == EXIT_CONFIG
         err = capfd.readouterr().err
@@ -253,27 +250,24 @@ class TestJobs:
             def shutdown(self, wait, cancel_futures):
                 pass
 
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
+        usable_cpus(monkeypatch, cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         monkeypatch.setattr(experiments, "_worker_task", None)
         return requested
 
-    @pytest.mark.parametrize("seeds,jobs,workers", [
-        ("1,2,3,4,5", str(10**9), 3),
-        ("1,2,3,4,5", None, 3),
-        ("1,2", str(10**9), 2),
-        ("1,2,3,4,5", "2", 2),
-    ], ids=["huge-jobs", "default-jobs", "two-seeds", "two-jobs"])
+    @pytest.mark.parametrize("seeds,cpus,workers", [
+        ("1,2,3,4,5", 3, 3),
+        ("1,2,3,4,5", 64, 5),
+        ("1,2", 64, 2),
+    ], ids=["cpu-bound", "seed-bound", "two-seeds"])
     def test_workers_bounded_by_cpus_and_seeds(self, synthetic_dataset,
                                                tmp_path, monkeypatch, seeds,
-                                               jobs, workers):
-        requested = self.record_pools(monkeypatch, cpus=3)
+                                               cpus, workers):
+        requested = self.record_pools(monkeypatch, cpus)
         out = tmp_path / "out"
         assert main(["e1.1", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", seeds, "--no-mcav-tables",
-                     *(["--jobs", jobs] if jobs else [])]) == EXIT_OK
+                     "--seeds", seeds, "--no-mcav-tables"]) == EXIT_OK
         assert requested == [(workers, "fork")]
         assert multiprocessing.active_children() == []
         assert f"workers: {workers}" in (
@@ -290,8 +284,7 @@ class TestJobs:
                             lambda: methods)
         out = tmp_path / "out"
         assert main(["e1.1", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", "1,2,3", "--jobs", "3",
-                     "--no-mcav-tables"]) == EXIT_OK
+                     "--seeds", "1,2,3", "--no-mcav-tables"]) == EXIT_OK
         assert requested == []
         assert "workers: 1" in (out / "provenance.txt").read_text().splitlines()
 
@@ -402,7 +395,7 @@ class TestInfogain:
 
 COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "--no-mcav-tables", "-v",
                   "--verbose"]
-DCA_OPTIONS = ["--jobs", "--population", "--cells-per-step", "--threshold-low",
+DCA_OPTIONS = ["--population", "--cells-per-step", "--threshold-low",
                "--threshold-high", "--mcav-threshold"]
 NSA_OPTIONS = ["--self-radius", "--detector-radius", "--detectors",
                "--max-attempts", "--folds", "--fold-seed"]
@@ -428,7 +421,6 @@ FLAG_FIELDS = {
     "--seeds": ("3,4", "seeds", (3, 4)),
     "--ranges": ("r.conf", "range_config_path", Path("r.conf")),
     "--no-mcav-tables": (None, "write_mcav_tables", False),
-    "--jobs": ("2", "jobs", 2),
     "--population": ("50", "dca.population_size", 50),
     "--cells-per-step": ("5", "dca.cells_per_step", 5),
     "--threshold-low": ("50.5", "dca.threshold_low", 50.5),
@@ -575,8 +567,6 @@ class TestErrorPaths:
         (["e1.2", "--multipliers", "0"], "multipliers must be >= 1"),
         (["e2", "--folds", "1"], "folds must be >= 2"),
         (["e2", "--fold-seed", "-1"], "seeds must be >= 0"),
-        (["e1.2", "--jobs", "0"], "jobs must be >= 1, got 0"),
-        (["custom", "--jobs", "-2"], "jobs must be >= 1, got -2"),
         (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
         (["e1.1", "--threshold-low", "nan"],
          "migration thresholds must be finite"),
@@ -607,7 +597,6 @@ class TestErrorPaths:
     ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
             "repeated-dimension", "repeated-multiplier", "repeated-window",
             "zero-multiplier", "one-fold", "negative-fold-seed",
-            "zero-jobs", "negative-jobs",
             "negative-seed", "nan-threshold", "inf-thresholds",
             "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",

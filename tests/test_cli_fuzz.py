@@ -120,7 +120,6 @@ def thresholds(bounds):
 
 
 DCA_FLAGS = (
-    flag("jobs", [1, 2], [0, -1]),
     flag("population", [5, 20, 1], [0, 2]),
     flag("cells-per-step", [1, 3], [0, 25]),
     flag("mcav-threshold", [0.8, 0, 1], [2, -0.5, "nan"]),

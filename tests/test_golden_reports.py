@@ -11,14 +11,13 @@ anomalous, one purely normal, and five mixed, two of them with an anomalous
 share above the 0.8 truth cut, two below it and one exactly on it.
 """
 import hashlib
-import os
 
 import numpy as np
 import pytest
 
 from dca_ids.cli import EXIT_OK, main
 
-from conftest import make_line
+from conftest import forks, make_line, usable_cpus
 
 # (protocol, service, flag, records, anomalous records)
 TYPES = (
@@ -182,15 +181,14 @@ def test_report_bodies_match_recorded_digests(command, data_file, tmp_path):
     assert report_digests(out) == EXPECTED[command]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@forks
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("command", sorted(set(RUNS) - {"e2"}))
-def test_report_bodies_match_at_one_and_two_jobs(command, jobs, data_file,
-                                                 tmp_path, monkeypatch):
-    # two usable CPUs, so that --jobs 2 forks two workers on any host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+def test_report_bodies_match_at_one_and_two_workers(command, cpus, data_file,
+                                                    tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     code = main([command, str(data_file), "--out", str(out),
-                 "--seeds", "1,2", "--jobs", jobs, *RUNS[command]])
+                 "--seeds", "1,2", *RUNS[command]])
     assert code == EXIT_OK
     assert report_digests(out) == EXPECTED[command]
