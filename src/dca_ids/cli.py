@@ -2,7 +2,7 @@
 
 One subcommand per experiment family (e1.1, e1.2, e1.3, e2), plus infogain
 and a free-form custom run. Exit codes: 0 success, 2 configuration error,
-3 parse error, 4 I/O error.
+3 parse error, 4 I/O error, 5 a worker process died.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .dataset import read_kdd_file
 from .dca import DcaConfig
-from .errors import ConfigurationError, ParseError, ReportError
+from .errors import ConfigurationError, ParseError, ReportError, WorkerError
 from .experiments import ExperimentConfig, emit_infogain, run_experiment
 from .nsa import NsaParams
 
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
+EXIT_WORKER = 5
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -146,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ReportError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     return EXIT_OK
 
 

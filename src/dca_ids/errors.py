@@ -15,3 +15,8 @@ class ConfigurationError(DcaIdsError):
 
 class ReportError(DcaIdsError):
     """Report emission failed (unwritable destination, empty results, ...)."""
+
+
+class WorkerError(DcaIdsError):
+    """A worker process died before returning its results (killed by a
+    signal, say)."""

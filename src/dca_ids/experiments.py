@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .dataset import ANOMALOUS, NORMAL, KddTable, kfold_split, read_kdd_file
 from .dca import DcaConfig, PresentationLog, run_dca_with_log
-from .errors import ConfigurationError, ReportError
+from .errors import ConfigurationError, ReportError, WorkerError
 from .evaluation import (
     ALPHA,
     ConfusionRates,
@@ -88,13 +88,6 @@ class ExperimentConfig:
                 )
         if any(s < 0 for s in self.seeds) or self.fold_seed < 0:
             raise ConfigurationError("seeds must be >= 0")
-        if any(k < 1 for k in self.multipliers):
-            raise ConfigurationError("multipliers must be >= 1")
-        if max(self.multipliers) > DcaConfig.MAX_MULTIPLIER:
-            raise ConfigurationError(
-                f"multipliers must be <= {DcaConfig.MAX_MULTIPLIER}")
-        if any(w < 1 for w in self.windows):
-            raise ConfigurationError("window sizes must be >= 1")
         if any(d < 1 for d in self.dimensions):
             raise ConfigurationError("dimensions must be >= 1")
         if self.folds < 2:
@@ -140,19 +133,23 @@ class AntigenTypes:
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     """Execute one experiment family and write its reports.
 
-    The range file (for E1, that it gives every category an attribute) and
-    E2's attribute list are checked before the data file is read."""
+    The range file (for E1, that it gives every category an attribute), E1's
+    sweep points and E2's attribute list are checked before the data file
+    is read."""
     ranges = (None if config.range_config_path is None
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
                   else ranges.attribute_names)
-    if config.experiment != "E2" and ranges is not None:
-        ranges.check_categories()
-    if config.experiment == "E2" and max(config.dimensions) > len(attributes):
-        raise ConfigurationError(
-            f"dimension {max(config.dimensions)} exceeds the "
-            f"{len(attributes)} configured attributes"
-        )
+    if config.experiment == "E2":
+        if max(config.dimensions) > len(attributes):
+            raise ConfigurationError(
+                f"dimension {max(config.dimensions)} exceeds the "
+                f"{len(attributes)} configured attributes"
+            )
+    else:
+        if ranges is not None:
+            ranges.check_categories()
+        sweep = _e1_points(config)
     table = read_kdd_file(config.data_path)
     if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
@@ -169,9 +166,32 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         signals = signal_stream(table, ranges or default_signal_config(table))
         del table
         workers = _e1_workers(len(config.seeds))
-        points = _run_e1(config, stream, signals, mcav_dir, workers)
+        points = _run_e1(config, sweep, stream, signals, mcav_dir, workers)
 
     emit_report(points, config, out_dir, workers)
+    return points
+
+
+# (category, parameter, DcaConfig) of one E1 sweep point.
+E1Point = tuple[str, str, DcaConfig]
+
+
+def _e1_points(config: ExperimentConfig) -> list[E1Point]:
+    """The ``(category, parameter, DcaConfig)`` of each point of an E1
+    family: the base run (k = 1, w = 1), then the family's sweep. Building
+    each ``DcaConfig`` checks its multiplier and window."""
+    dca = config.dca
+    points = [("E1.1", "-", dataclasses.replace(dca, multiplier=1, window=1))]
+    if config.experiment == "E1.2":
+        points += [("E1.2", str(k),
+                    dataclasses.replace(dca, multiplier=k, window=1))
+                   for k in config.multipliers]
+    elif config.experiment == "E1.3":
+        points += [("E1.3", str(w),
+                    dataclasses.replace(dca, multiplier=1, window=w))
+                   for w in config.windows]
+    elif config.experiment == "custom":  # the configuration exactly as given
+        points.append(("custom", f"k={dca.multiplier},w={dca.window}", dca))
     return points
 
 
@@ -228,44 +248,36 @@ def _seed_results(task: Callable[[int], list[DcaRun]], seeds: Sequence[int],
     pickling them, and ``run_dca_with_log`` is looked up in this module
     there as here. The pool forks every worker before it starts its own
     thread. On leaving, pending tasks are cancelled and every worker is
-    joined, whether the results were all read or an error cut them short."""
+    joined, whether the results were all read or an error cut them short.
+    A worker that dies (killed by a signal, say) raises ``WorkerError``."""
     if workers == 1:
         yield map(task, seeds)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(task,))
     try:
         yield pool.map(_run_adopted, seeds)
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a seed worker process died: {exc}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_e1(config: ExperimentConfig, stream: AntigenTypes,
-            signals: np.ndarray, mcav_dir: Path | None,
+def _run_e1(config: ExperimentConfig, points: Sequence[E1Point],
+            stream: AntigenTypes, signals: np.ndarray, mcav_dir: Path | None,
             workers: int) -> list[SweepPoint]:
-    """The base run (k = 1, w = 1), then one point per (parameter,
-    DcaConfig) of the family's sweep, each compared against the base.
+    """Run ``points`` (from ``_e1_points``, the base run first) and compare
+    each later point's per-seed TP rates against the base's.
 
     One task per seed runs every point of that seed, on ``workers``
     processes. The runs are scored, written and logged here, in seed order,
     so the reports do not depend on ``workers``."""
     dca = config.dca
-    points = [("E1.1", "-", dataclasses.replace(dca, multiplier=1, window=1))]
-    if config.experiment == "E1.2":
-        points += [("E1.2", str(k),
-                    dataclasses.replace(dca, multiplier=k, window=1))
-                   for k in config.multipliers]
-    elif config.experiment == "E1.3":
-        points += [("E1.3", str(w),
-                    dataclasses.replace(dca, multiplier=1, window=w))
-                   for w in config.windows]
-    elif config.experiment == "custom":  # the configuration exactly as given
-        points.append(("custom", f"k={dca.multiplier},w={dca.window}", dca))
-
     truth = stream.anomalous_share > dca.mcav_threshold
     per_point: list[list[ConfusionRates]] = [[] for _ in points]
     task = functools.partial(_seed_runs, stream.codes, signals,

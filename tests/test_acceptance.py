@@ -2,8 +2,10 @@
 
 Criteria 1-4 and 6 reproduce the reference experiment tables on the KDD-99
 10% subset and need the real data file: set the DCA_IDS_KDD99 environment
-variable to its path (plain or gzipped). Without it they skip. Criterion 5
-is the data-free property suite and always runs.
+variable to its path (plain or gzipped). Without it they skip. Criteria 1-4
+read the sweep points that ``run_experiment`` returns for E1.2, E1.3 and E2
+at the default configuration, as ``dca-ids e1.2 DATA`` and its siblings run
+them. Criterion 5 is the data-free property suite and always runs.
 
 Each check prints one "ACCEPTANCE <id>: PASS/FAIL" line (visible with -s or
 on failure).
@@ -11,28 +13,25 @@ on failure).
 import itertools
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dca_ids.dataset import kfold_split, read_kdd_file
+from dca_ids.dataset import read_kdd_file
 from dca_ids.dca import DcaConfig, run_dca_with_log
-from dca_ids.evaluation import confusion_from_instances, mann_whitney_two_sided
-from dca_ids.experiments import AntigenTypes
-from dca_ids.nsa import NsaParams, run_nsa
-from dca_ids.signals import (
-    default_signal_config,
-    entropy2,
-    signal_stream,
-)
+from dca_ids.evaluation import mann_whitney_two_sided
+from dca_ids.experiments import ExperimentConfig, run_experiment
+from dca_ids.signals import entropy2
 
+from conftest import forks
 from test_dca import transform_signals
 from test_evaluation import brute_mann_whitney_p
+from test_golden_reports import golden_lines
 from test_signals import brute_entropy, brute_gain, small_gain_cases
 
 DATA_ENV = "DCA_IDS_KDD99"
-SEEDS = tuple(range(1, 11))
 
 requires_data = pytest.mark.skipif(
     DATA_ENV not in os.environ,
@@ -47,124 +46,112 @@ def check(criterion: str, passed: bool, detail: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared real-data machinery (criteria 1-4, 6)
+# Criteria 1-4: the program's own sweeps
 # ---------------------------------------------------------------------------
 
-class KddRuns:
-    """Loads the data once and caches per-configuration sweep results."""
+def run_sweeps(data_path, out_dir, **config):
+    """The E1.2, E1.3 and E2 runs of ``data_path``, each as its sweep points
+    by parameter (``"-"`` for the E1 base run). Prints each run's worker
+    count."""
+    sweeps = {}
+    for experiment in ("E1.2", "E1.3", "E2"):
+        out = out_dir / experiment
+        points = run_experiment(ExperimentConfig(
+            experiment=experiment, data_path=data_path, output_dir=out,
+            **config))
+        provenance = (out / "provenance.txt").read_text()
+        print(experiment, re.search("^workers: .*$", provenance, re.M)[0])
+        sweeps[experiment] = {p.parameter: p for p in points}
+    return sweeps
 
-    def __init__(self, path):
-        self.table = read_kdd_file(path)
-        self.ranges = default_signal_config(self.table)
-        self.types = AntigenTypes.of(self.table)
-        self.signals = signal_stream(self.table, self.ranges)
-        self._cache = {}
 
-    def dca_rates(self, multiplier=1, window=1, seeds=SEEDS):
-        key = (multiplier, window, seeds)
-        if key not in self._cache:
-            config = DcaConfig(multiplier=multiplier, window=window)
-            truth = self.types.anomalous_share > config.mcav_threshold
-            per_seed = []
-            for seed in seeds:
-                mcav, _ = run_dca_with_log(self.types.codes, self.signals,
-                                           config, seed)
-                per_seed.append(confusion_from_instances(
-                    mcav > config.mcav_threshold, truth, self.types.counts
-                ))
-            self._cache[key] = per_seed
-        return self._cache[key]
+def criterion_1(sweeps):
+    base = sweeps["E1.2"]["-"].mean
+    return (abs(base.tp_rate - 0.7375) <= 0.07 and base.tn_rate >= 0.96
+            and base.fp_rate <= 0.04,
+            f"tp={base.tp_rate:.4f} tn={base.tn_rate:.4f} "
+            f"fp={base.fp_rate:.4f}")
 
-    @staticmethod
-    def mean(rates, field):
-        return float(np.mean([getattr(r, field) for r in rates]))
+
+def criterion_2(sweeps):
+    tests = [(f"k={k}", sweeps["E1.2"][str(k)]) for k in (5, 10, 50, 100)]
+    tests += [(f"w={w}", sweeps["E1.3"][str(w)]) for w in (2, 3, 5, 7, 10)]
+    failures = [name for name, point in tests if point.mann_whitney.reject]
+    return not failures, f"rejected: {failures or 'none'}"
+
+
+def criterion_3(sweeps):
+    tn_10, tn_100, tn_1000 = (sweeps["E1.3"][w].mean.tn_rate
+                              for w in ("10", "100", "1000"))
+    return (tn_1000 <= tn_100 < tn_10 + 0.01,
+            f"tn(w=10)={tn_10:.4f} tn(w=100)={tn_100:.4f} "
+            f"tn(w=1000)={tn_1000:.4f}")
+
+
+def criterion_4(sweeps):
+    by_dimension = {d: sweeps["E2"][str(d)].mean for d in range(2, 11)}
+    tp2, fp2 = by_dimension[2].tp_rate, by_dimension[2].fp_rate
+    low_d_ok = tp2 >= 0.90 and abs(fp2 - 0.37) <= 0.12
+    high_d_ok = all((by_dimension[d].tp_rate, by_dimension[d].fp_rate)
+                    == (0.0, 0.0) for d in range(6, 11))
+    tps = [by_dimension[d].tp_rate for d in (2, 3, 4, 5, 6)]
+    monotone_ok = all(a >= b for a, b in zip(tps, tps[1:]))
+    return (low_d_ok and high_d_ok and monotone_ok,
+            f"d=2 tp={tp2:.4f} fp={fp2:.4f}; "
+            f"tp(2..6)={','.join(f'{tp:.4f}' for tp in tps)}")
 
 
 @pytest.fixture(scope="module")
-def kdd():
-    runs = KddRuns(os.environ[DATA_ENV])
-    assert len(runs.table) == 494021, (
-        f"expected the 494021-record 10% subset, got {len(runs.table)}"
+def kdd_path():
+    path = Path(os.environ[DATA_ENV])
+    records = len(read_kdd_file(path))
+    assert records == 494021, (
+        f"expected the 494021-record 10% subset, got {records}"
     )
-    return runs
+    return path
+
+
+@pytest.fixture(scope="module")
+def sweeps(kdd_path, tmp_path_factory):
+    """Set up before the autouse ``one_cpu``, so the E1 runs fork one seed
+    worker per usable CPU."""
+    return run_sweeps(kdd_path, tmp_path_factory.mktemp("sweeps"))
+
+
+@forks
+@requires_data
+def test_criterion_1_base_run_reproduction(sweeps):
+    check("1 (base run, Table-2 row E1.1)", *criterion_1(sweeps))
+
+
+@forks
+@requires_data
+def test_criterion_2_parameter_insensitivity(sweeps):
+    check("2 (multiplier/window insensitivity)", *criterion_2(sweeps))
+
+
+@forks
+@requires_data
+def test_criterion_3_large_window_degradation(sweeps):
+    check("3 (large-window degradation)", *criterion_3(sweeps))
+
+
+@forks
+@requires_data
+def test_criterion_4_negative_selection_collapse(sweeps):
+    check("4 (detector-space dimensionality sweep)", *criterion_4(sweeps))
 
 
 @requires_data
-def test_criterion_1_base_run_reproduction(kdd):
-    rates = kdd.dca_rates()
-    tp = kdd.mean(rates, "tp_rate")
-    tn = kdd.mean(rates, "tn_rate")
-    fp = kdd.mean(rates, "fp_rate")
-    check(
-        "1 (base run, Table-2 row E1.1)",
-        abs(tp - 0.7375) <= 0.07 and tn >= 0.96 and fp <= 0.04,
-        f"tp={tp:.4f} tn={tn:.4f} fp={fp:.4f}",
-    )
-
-
-@requires_data
-def test_criterion_2_parameter_insensitivity(kdd):
-    base_tp = [r.tp_rate for r in kdd.dca_rates()]
-    failures = []
-    for k in (5, 10, 50, 100):
-        sample = [r.tp_rate for r in kdd.dca_rates(multiplier=k)]
-        if mann_whitney_two_sided(sample, base_tp).reject:
-            failures.append(f"k={k}")
-    for w in (2, 3, 5, 7, 10):
-        sample = [r.tp_rate for r in kdd.dca_rates(window=w)]
-        if mann_whitney_two_sided(sample, base_tp).reject:
-            failures.append(f"w={w}")
-    check("2 (multiplier/window insensitivity)", not failures,
-          f"rejected: {failures or 'none'}")
-
-
-@requires_data
-def test_criterion_3_large_window_degradation(kdd):
-    tn_10 = kdd.mean(kdd.dca_rates(window=10), "tn_rate")
-    tn_100 = kdd.mean(kdd.dca_rates(window=100), "tn_rate")
-    tn_1000 = kdd.mean(kdd.dca_rates(window=1000), "tn_rate")
-    check(
-        "3 (large-window degradation)",
-        tn_1000 <= tn_100 < tn_10 + 0.01,
-        f"tn(w=10)={tn_10:.4f} tn(w=100)={tn_100:.4f} tn(w=1000)={tn_1000:.4f}",
-    )
-
-
-@requires_data
-def test_criterion_4_negative_selection_collapse(kdd):
-    attributes = kdd.ranges.attribute_names
-    folds = kfold_split(len(kdd.table), 10, seed=1)
-    dimensions = range(2, 11)
-    by_dimension = {
-        d: (float(np.mean([r.tp_rate for r in per_seed])),
-            float(np.mean([r.fp_rate for r in per_seed])))
-        for d, per_seed in zip(dimensions, run_nsa(
-            kdd.table, attributes, dimensions, folds, NsaParams(), SEEDS))
-    }
-    tp2, fp2 = by_dimension[2]
-    low_d_ok = tp2 >= 0.90 and abs(fp2 - 0.37) <= 0.12
-    high_d_ok = all(by_dimension[d] == (0.0, 0.0) for d in range(6, 11))
-    tps = [by_dimension[d][0] for d in (2, 3, 4, 5, 6)]
-    monotone_ok = all(a >= b for a, b in zip(tps, tps[1:]))
-    check(
-        "4 (detector-space dimensionality sweep)",
-        low_d_ok and high_d_ok and monotone_ok,
-        f"d=2 tp={tp2:.4f} fp={fp2:.4f}; tp(2..6)={tps}",
-    )
-
-
-@requires_data
-def test_criterion_6_determinism(kdd, tmp_path):
-    from dca_ids.experiments import ExperimentConfig, run_experiment
-
+def test_criterion_6_determinism(kdd_path, tmp_path):
     bodies = []
     for name in ("a", "b"):
         out = tmp_path / name
         run_experiment(ExperimentConfig(
             experiment="E1.1",
-            data_path=Path(os.environ[DATA_ENV]),
+            data_path=kdd_path,
             output_dir=out,
-            seeds=SEEDS,
+            seeds=tuple(range(1, 11)),
             write_mcav_tables=False,
         ))
         bodies.append(
@@ -173,6 +160,16 @@ def test_criterion_6_determinism(kdd, tmp_path):
             + (out / "roc_points.tsv").read_text()
         )
     check("6 (report determinism)", bodies[0] == bodies[1])
+
+
+def test_every_criterion_runs_on_small_sweeps(tmp_path):
+    # no verdict: a small synthetic stream says nothing about the paper
+    path = tmp_path / "golden.kdd"
+    path.write_text("\n".join(golden_lines()) + "\n")
+    sweeps = run_sweeps(path, tmp_path, seeds=(1, 2))
+    for criterion in (criterion_1, criterion_2, criterion_3, criterion_4):
+        passed, detail = criterion(sweeps)
+        assert type(passed) is bool and isinstance(detail, str) and detail
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 import dca_ids
 from dca_ids import experiments
 from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                         _experiment_config, build_parser, main)
+                         EXIT_WORKER, _experiment_config, build_parser, main)
 from dca_ids.dataset import ANOMALOUS
 from dca_ids.dca import DcaConfig
 from dca_ids.errors import ConfigurationError
@@ -228,6 +228,27 @@ class TestWorkers:
         assert code == EXIT_CONFIG
         err = capfd.readouterr().err
         assert "configuration error: seed 1 failed in a worker" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    @forks
+    def test_killed_worker_exits_with_the_worker_code(
+            self, synthetic_dataset, tmp_path, monkeypatch, capfd, two_cpus):
+        parent = os.getpid()
+        run_dca_with_log = experiments.run_dca_with_log
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(9)  # as a worker killed by a signal ends
+            return run_dca_with_log(*args)
+
+        monkeypatch.setattr(experiments, "run_dca_with_log",
+                            killed_in_a_worker)
+        code = main(["e1.1", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1,2"])
+        assert code == EXIT_WORKER
+        err = capfd.readouterr().err
+        assert "worker error: a seed worker process died" in err
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
@@ -564,7 +585,8 @@ class TestErrorPaths:
         (["e2", "--dimensions", "2,2"], "dimension list repeats"),
         (["e1.2", "--multipliers", "5,5"], "multiplier list repeats"),
         (["e1.3", "--windows", "3,3"], "window list repeats"),
-        (["e1.2", "--multipliers", "0"], "multipliers must be >= 1"),
+        (["e1.2", "--multipliers", "0"], "multiplier must be >= 1"),
+        (["e1.3", "--windows", "2,0"], "window must be >= 1"),
         (["e2", "--folds", "1"], "folds must be >= 2"),
         (["e2", "--fold-seed", "-1"], "seeds must be >= 0"),
         (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
@@ -587,7 +609,7 @@ class TestErrorPaths:
         (["e2", "--dimensions", "2,11"],
          "dimension 11 exceeds the 10 configured attributes"),
         (["e1.2", "--multipliers", "5,9223372036854775808"],
-         "multipliers must be <= 1048576"),
+         "multiplier must be <= 1048576"),
         (["custom", "--multiplier", "100000000000000000000"],
          "multiplier must be <= 1048576"),
         (["e1.1", "--population", "100000000000000000000"],
@@ -596,7 +618,7 @@ class TestErrorPaths:
          "detector count must be <= 1048576"),
     ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
             "repeated-dimension", "repeated-multiplier", "repeated-window",
-            "zero-multiplier", "one-fold", "negative-fold-seed",
+            "zero-multiplier", "zero-window", "one-fold", "negative-fold-seed",
             "negative-seed", "nan-threshold", "inf-thresholds",
             "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",
