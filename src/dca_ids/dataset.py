@@ -266,21 +266,6 @@ def parse_kdd_lines(lines: Iterable[str]) -> KddTable:
                        []))
 
 
-def _undecodable(raw: Sequence[bytes], first: int) -> ParseError:
-    """The error of the first line of a chunk that is not UTF-8. No
-    multi-byte character contains the b"\\n" that ends each line, so the
-    line that breaks the chunk's decode breaks alone too."""
-    for number, line in enumerate(raw, start=first):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return ParseError(
-                f"line {number}: undecodable bytes ({exc.reason} "
-                f"at byte {exc.start})"
-            )
-    raise AssertionError("chunk undecodable but every line decodes")
-
-
 def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
     """The lines of a binary file, ``_CHUNK_LINES`` at a time, each chunk
     decoded as one string and split at its line ends."""
@@ -293,10 +278,16 @@ def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
             raw.extend(itertools.islice(handle, _CHUNK_LINES))
             if not raw:
                 return
+            joined = b"".join(raw)
             try:
-                text = b"".join(raw).decode("utf-8")
-            except UnicodeDecodeError:
-                raise _undecodable(raw, first) from None
+                text = joined.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # No multi-byte character holds the b"\n" that ends a line,
+                # so the chunk's decode fails where the line's alone would.
+                line = first + joined.count(b"\n", 0, exc.start)
+                offset = exc.start - joined.rfind(b"\n", 0, exc.start) - 1
+                raise ParseError(f"line {line}: undecodable bytes "
+                                 f"({exc.reason} at byte {offset})") from None
             yield text.split("\n")
             first += len(raw)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:

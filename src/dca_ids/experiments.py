@@ -86,8 +86,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{name[:-1]} list repeats a {name[:-1]}: {list(values)}"
                 )
-        if any(s < 0 for s in self.seeds) or self.fold_seed < 0:
+        if any(s < 0 for s in self.seeds):
             raise ConfigurationError("seeds must be >= 0")
+        if self.fold_seed < 0:
+            raise ConfigurationError("fold seed must be >= 0")
         if any(d < 1 for d in self.dimensions):
             raise ConfigurationError("dimensions must be >= 1")
         if self.folds < 2:
@@ -154,7 +156,8 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
-    mcav_dir = out_dir / "mcav" if config.write_mcav_tables else None
+    mcav_dir = (out_dir / "mcav" if config.write_mcav_tables
+                and config.experiment != "E2" else None)
     (mcav_dir or out_dir).mkdir(parents=True, exist_ok=True)
 
     workers = 1

@@ -63,7 +63,7 @@ GAIN_BINS = 10
 
 @dataclass(frozen=True)
 class AttributeRange:
-    """Scoring window for one numeric attribute.
+    """Scoring window for one scorable attribute (``SCORABLE_ATTRIBUTES``).
 
     ``direction`` '+' scores f(x) directly; '-' flips to 100 - f(x) for
     attributes where low raw values indicate the category's meaning.
@@ -76,6 +76,12 @@ class AttributeRange:
     direction: str = "+"
 
     def __post_init__(self):
+        if self.name not in SCORABLE_ATTRIBUTES:
+            if self.name in NOMINAL_ATTRIBUTES:
+                raise ConfigurationError(
+                    f"{self.name} is a non-binary nominal attribute and "
+                    "cannot be scored")
+            raise ConfigurationError(f"unknown attribute {self.name!r}")
         if self.category not in CATEGORIES:
             raise ConfigurationError(
                 f"{self.name}: unknown category {self.category!r}"
@@ -157,46 +163,33 @@ def load_signal_config(path: str | Path) -> SignalConfig:
 
     One line per attribute: name, category, lower, upper, direction(+/-).
     Fields are whitespace-separated; '#' starts a comment. The file is UTF-8.
+    Each error names its line; a repeated attribute, its second one.
     """
-    ranges = []
+    config = SignalConfig(())
     # bytes.splitlines breaks lines where text-mode reading would
     for line_number, raw in enumerate(Path(path).read_bytes().splitlines(),
                                       start=1):
         try:
-            line = raw.decode("utf-8").split("#", 1)[0].strip()
-        except UnicodeDecodeError:
+            parts = raw.decode("utf-8").split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) != 5:
+                raise ConfigurationError(
+                    "expected 5 fields (name category lower upper "
+                    f"direction), got {len(parts)}")
+            name, category, lower, upper, direction = parts
+            # Rebuilt per line, so SignalConfig's duplicate rule fails on
+            # the repeating line; a file holds at most 41 distinct names.
+            config = SignalConfig(config.ranges + (AttributeRange(
+                name, category, float(lower), float(upper), direction),))
+        except (ConfigurationError, ValueError) as exc:
+            reason = ("not UTF-8 text" if isinstance(exc, UnicodeDecodeError)
+                      else exc)
             raise ConfigurationError(
-                f"{path}:{line_number}: not UTF-8 text") from None
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ConfigurationError(
-                f"{path}:{line_number}: expected 5 fields "
-                f"(name category lower upper direction), got {len(parts)}"
-            )
-        name, category, lower, upper, direction = parts
-        if name not in ATTRIBUTE_NAMES:
-            raise ConfigurationError(
-                f"{path}:{line_number}: unknown attribute {name!r}"
-            )
-        if name not in SCORABLE_ATTRIBUTES:
-            raise ConfigurationError(
-                f"{path}:{line_number}: {name} is a non-binary nominal "
-                "attribute and cannot be scored"
-            )
-        try:
-            ranges.append(
-                AttributeRange(name, category, float(lower), float(upper),
-                               direction)
-            )
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{path}:{line_number}: {exc}"
-            ) from None
-    if not ranges:
+                f"{path}:{line_number}: {reason}") from None
+    if not config.ranges:
         raise ConfigurationError(f"{path}: no attribute ranges defined")
-    return SignalConfig(tuple(ranges))
+    return config
 
 
 # ---------------------------------------------------------------------------

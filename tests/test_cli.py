@@ -320,6 +320,8 @@ class TestE2Command:
         rows = read_rows(out / "results.tsv")
         assert [r["parameter"] for r in rows] == ["2", "3"]
         assert all(r["category"] == "E2" for r in rows)
+        # MCAV tables are E1's; E2 leaves no mcav entry behind
+        assert "mcav" not in {path.name for path in out.iterdir()}
 
     def test_dimension_exceeding_attributes(self, synthetic_dataset, tmp_path):
         code = main(["e2", str(synthetic_dataset),
@@ -588,7 +590,8 @@ class TestErrorPaths:
         (["e1.2", "--multipliers", "0"], "multiplier must be >= 1"),
         (["e1.3", "--windows", "2,0"], "window must be >= 1"),
         (["e2", "--folds", "1"], "folds must be >= 2"),
-        (["e2", "--fold-seed", "-1"], "seeds must be >= 0"),
+        (["e2", "--dimensions", "0,2"], "dimensions must be >= 1"),
+        (["e2", "--fold-seed", "-1"], "fold seed must be >= 0"),
         (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
         (["e1.1", "--threshold-low", "nan"],
          "migration thresholds must be finite"),
@@ -618,7 +621,8 @@ class TestErrorPaths:
          "detector count must be <= 1048576"),
     ], ids=["empty-dimensions", "empty-multipliers", "empty-windows",
             "repeated-dimension", "repeated-multiplier", "repeated-window",
-            "zero-multiplier", "zero-window", "one-fold", "negative-fold-seed",
+            "zero-multiplier", "zero-window", "one-fold", "zero-dimension",
+            "negative-fold-seed",
             "negative-seed", "nan-threshold", "inf-thresholds",
             "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",
@@ -636,6 +640,14 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out"), *options])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_integer_list_that_does_not_parse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["e1.1", str(tmp_path / "absent.kdd"), "--seeds", "1,x"])
+        assert info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "expected a comma-separated integer list, got '1,x'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["custom", f"--multiplier={DcaConfig.MAX_MULTIPLIER}",
@@ -688,6 +700,38 @@ class TestErrorPaths:
                      *options])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ranges,line,message", [
+        (b"count DS 0 x +\n", 1, "could not convert string to float: 'x'"),
+        (b"serror_rate PAMP 0 1 +\ncount XX 0 1 +\n", 2,
+         "count: unknown category 'XX'"),
+        (b"count DS 0 1 *\n", 1,
+         "count: direction must be '+' or '-', got '*'"),
+        (b"# comment\n\ncount DS 5 5 +\n", 3,
+         "count: lower bound 5.0 must be below upper bound 5.0"),
+        (b"count DS 0 inf +\n", 1,
+         "count: bounds must be finite and span a finite range"),
+        (b"count DS 0 1 +\ncount SS 0 1 +\n", 2,
+         "attribute count configured twice"),
+        (b"bogus DS 0 1 +\n", 1, "unknown attribute 'bogus'"),
+        (b"service DS 0 1 +\n", 1,
+         "service is a non-binary nominal attribute and cannot be scored"),
+        (b"count DS 0 1\n", 1,
+         "expected 5 fields (name category lower upper direction), got 4"),
+        (b"count DS 0 1 +\ncount\xff DS 0 1 +\n", 2, "not UTF-8 text"),
+    ], ids=["bound-not-a-number", "unknown-category", "bad-direction",
+            "lower-not-below-upper", "infinite-bound", "repeated-attribute",
+            "unknown-attribute", "non-scorable-attribute",
+            "wrong-field-count", "not-utf8"])
+    def test_range_file_errors_name_their_line(self, tmp_path, capsys,
+                                               ranges, line, message):
+        path = tmp_path / "r.txt"
+        path.write_bytes(ranges)
+        code = main(["e1.1", str(tmp_path / "absent.kdd"),
+                     "--out", str(tmp_path / "out"), "--ranges", str(path)])
+        assert code == EXIT_CONFIG
+        assert (f"configuration error: {path}:{line}: {message}\n"
+                == capsys.readouterr().err)
 
     def test_e2_accepts_a_range_file_missing_a_category(
             self, synthetic_dataset, tmp_path):

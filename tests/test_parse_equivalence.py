@@ -112,15 +112,32 @@ def test_malformed_lines_give_the_same_message(name, row):
             == error_message(ref.parse_kdd_lines, lines))
 
 
-@pytest.mark.parametrize("row", [0, 2047, 2048, 3000])
-def test_undecodable_bytes_give_the_same_message(tmp_path, row):
+# Bad bytes in a line, the decode error they give, and whether that line ends
+# the file: a truncated character is one only at the end of the data.
+UNDECODABLE = [
+    ({"service": "ht\udcfftp"}, "invalid start byte", False),
+    ({"service": "ht\udce2(tp"}, "invalid continuation byte", False),
+    ({"label": "normal.\udce2\udc82"}, "unexpected end of data", True),
+]
+
+
+# An invalid start byte keeps the bare row number as its id.
+@pytest.mark.parametrize("fields,reason,last,row", [
+    pytest.param(fields, reason, last, row,
+                 id=str(row) if case == 0 else f"{row}-{reason}")
+    for case, (fields, reason, last) in enumerate(UNDECODABLE)
+    for row in (0, 2047, 2048, 3000)
+])
+def test_undecodable_bytes_give_the_same_message(tmp_path, fields, reason,
+                                                 last, row):
     lines = [make_line().encode()] * 3100
-    lines[row] = make_line(service="ht\udcfftp").encode("utf-8",
-                                                        "surrogateescape")
+    lines[row] = make_line(**fields).encode("utf-8", "surrogateescape")
+    if last:
+        del lines[row + 1:]
     path = tmp_path / "data.kdd"
     path.write_bytes(b"\n".join(lines))
     message = error_message(read_kdd_file, path)
-    assert message.startswith(f"line {row + 1}: undecodable bytes")
+    assert message.startswith(f"line {row + 1}: undecodable bytes ({reason} ")
     assert message == error_message(ref.read_kdd_file, path)
 
 

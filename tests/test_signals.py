@@ -259,6 +259,14 @@ class TestSignalTriple:
         ))
         assert triple(one_record(), config)[0] == 100.0
 
+    @pytest.mark.parametrize("name,message", [
+        ("service", "service is a non-binary nominal attribute"),
+        ("bogus", "unknown attribute 'bogus'"),
+    ], ids=["non-binary-nominal", "unknown"])
+    def test_unscorable_name_rejected(self, name, message):
+        with pytest.raises(ConfigurationError, match=message):
+            AttributeRange(name, "DS", 0, 1)
+
     def test_empty_category_rejected(self):
         config = SignalConfig((AttributeRange("count", "DS", 0, 100),))
         with pytest.raises(ConfigurationError):
