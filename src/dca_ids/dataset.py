@@ -299,12 +299,17 @@ def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
 def read_kdd_file(path: str | Path) -> KddTable:
     """Parse a plain or gzip-compressed KDD file (UTF-8), streaming it.
 
-    gzip is recognised by its magic bytes, whatever the file is named.
+    The path is opened once and parsed from its first byte, so a pipe, a
+    FIFO or ``/dev/stdin`` reads as a regular file does. gzip is recognised
+    by its magic bytes, whatever the file is named, through ``peek``, which
+    consumes nothing. On a pipe ``peek`` sees only what the producer's first
+    write delivered, so a gzip stream whose producer writes a single byte
+    first is read as plain text.
     """
     with open(path, "rb") as handle:
-        compressed = handle.read(2) == _GZIP_MAGIC
-    opener = gzip.open if compressed else open
-    with opener(path, "rb") as handle:
+        if handle.peek(2)[:2] == _GZIP_MAGIC:
+            with gzip.GzipFile(fileobj=handle) as unpacked:
+                return _table(_decoded(unpacked))
         return _table(_decoded(handle))
 
 

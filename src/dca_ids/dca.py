@@ -12,9 +12,9 @@ fraction of mature presentations is the MCAV score.
 A cell's state is only its three cumulative signal sums and its threshold, so
 the population is held as flat lists indexed by cell slot. Each sampling life
 of a slot gets a lifetime id; a step records which lifetimes received its
-antigen copies, and a lifetime's context is fixed when it migrates or is
-flushed. Antigens are never copied: the per-type tallies come from one
-weighted count at the end of the run.
+antigen copies, and a lifetime's context, one byte per id, is fixed when it
+migrates or is flushed. Antigens are never copied: the per-type tallies come
+from one weighted count at the end of the run.
 """
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ class DcaConfig:
     MAX_POPULATION: ClassVar[int] = 2**16
     # Per type, the mature tally is a float sum of up to multiplier x
     # records copies, exact while that stays below 2**53: at 2**20 for any
-    # stream under 2**33 records. One step's permutation of the copies is
-    # then at most 8 MB.
+    # stream under 2**33 records. The copy buffer a run shuffles each step
+    # is then at most 8 MB, allocated once per run.
     MAX_MULTIPLIER: ClassVar[int] = 2**20
 
     population_size: int = 100
@@ -115,18 +115,20 @@ def run_dca_with_log(
     stream) and the presentation log.
 
     Random draw order, the contract that makes a run deterministic per seed:
-    ``population_size`` initial thresholds, then per step
-    ``rng.permutation(multiplier)`` (the copies' placement, which draws
-    nothing at multiplier 1), ``rng.choice(population_size, cells_per_step,
-    replace=False)``, and one ``uniform(threshold_low, threshold_high)`` per
-    migrated cell in selection order.
+    ``population_size`` initial thresholds, then per step one
+    ``rng.shuffle`` of the ``multiplier`` copies (the copies' placement:
+    the draws of ``rng.permutation(multiplier)``, none at multiplier 1),
+    ``rng.choice(population_size, cells_per_step, replace=False)``, and one
+    ``uniform(threshold_low, threshold_high)`` per migrated cell in
+    selection order.
     """
     if len(antigens) != len(signals):
         raise ConfigurationError(
             "antigen stream and signal stream must be index-aligned"
         )
     windowed = apply_time_window(np.asarray(signals, dtype=float), config.window)
-    steps = (windowed @ DEFAULT_WEIGHTS).tolist()
+    # One list per output signal, not one small list per step.
+    steps = zip(*(windowed @ DEFAULT_WEIGHTS).T.tolist())
     size = config.population_size
     per_step = config.cells_per_step
     k = config.multiplier
@@ -141,12 +143,13 @@ def run_dca_with_log(
     semi = [0.0] * size
     mat = [0.0] * size
     lifetime = list(range(size))
-    mature = [False] * size  # context of each lifetime, by lifetime id
-    holder_lifetimes = np.empty((len(steps), holders), dtype=np.int64)
+    mature = bytearray(size)  # context of each lifetime, by lifetime id
+    holder_lifetimes = np.empty((len(windowed), holders), dtype=np.int64)
+    order = np.arange(k)
 
     for t, (d_csm, d_semi, d_mat) in enumerate(steps):
         if k > 1:
-            rng.permutation(k)  # copies are identical; drawn for the stream
+            rng.shuffle(order)  # copies are identical; drawn for the stream
         selected = rng.choice(size, per_step, replace=False).tolist()
         holder_lifetimes[t] = [lifetime[i] for i in selected[:holders]]
         migrants = []
@@ -158,7 +161,7 @@ def run_dca_with_log(
             if total > threshold[i]:
                 mature[lifetime[i]] = semi[i] <= mat[i]
                 lifetime[i] = len(mature)
-                mature.append(False)
+                mature.append(0)
                 csm[i] = semi[i] = mat[i] = 0.0
                 migrants.append(i)
         if migrants:
@@ -172,7 +175,8 @@ def run_dca_with_log(
 
     codes = np.asarray(antigens, dtype=np.int64)
     copies = (k - np.arange(holders) + per_step - 1) // per_step
-    mature_copies = np.asarray(mature)[holder_lifetimes] @ copies
+    mature_copies = (np.frombuffer(mature, dtype=bool)[holder_lifetimes]
+                     @ copies)
     totals = k * np.bincount(codes)
     matures = np.bincount(codes, weights=mature_copies,
                           minlength=len(totals)).astype(np.int64)

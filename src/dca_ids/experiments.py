@@ -160,7 +160,7 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
                 and config.experiment != "E2" else None)
     (mcav_dir or out_dir).mkdir(parents=True, exist_ok=True)
 
-    workers = 1
+    records, workers = len(table), 1
     if config.experiment == "E2":
         points = _run_e2(config, table, attributes)
     else:
@@ -171,7 +171,7 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         workers = _e1_workers(len(config.seeds))
         points = _run_e1(config, sweep, stream, signals, mcav_dir, workers)
 
-    emit_report(points, config, out_dir, workers)
+    emit_report(points, config, out_dir, records, workers)
     return points
 
 
@@ -378,11 +378,12 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
-                out_dir: Path, workers: int = 1) -> None:
+                out_dir: Path, records: int, workers: int) -> None:
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
     appendix and provenance (one line per config field, then the worker
-    processes the run used and the Python and numpy versions). The report
-    bodies are deterministic per config."""
+    processes the run used, the records it read, and the Python, numpy and,
+    where loaded, scipy versions). The report bodies are deterministic per
+    config."""
     if not points:
         raise ReportError("no results to report")
     out_dir = Path(out_dir)
@@ -411,12 +412,16 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                        for p, t in tests
                    ])
 
+    # Only E2 loads scipy; importing it here would cost E1 its start-up.
+    scipy = sys.modules.get("scipy")
     _write_lines(out_dir / "provenance.txt", [
         f"dca-ids {__version__}",
         *_field_lines(config),
         f"workers: {workers}",
+        f"records: {records}",
         "python: {}.{}.{}".format(*sys.version_info[:3]),
         f"numpy: {np.__version__}",
+        *([f"scipy: {scipy.__version__}"] if scipy else []),
         "time_window: forward mean",
         f"alpha: {ALPHA}",
         "",

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -75,6 +77,40 @@ def usable_cpus(monkeypatch, cpus):
     """Make ``os.sched_getaffinity`` report ``cpus`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
+
+
+# A path that reads from a pipe, the kind process substitution hands a
+# command: ``cmd <(zcat data.gz)`` passes ``/dev/fd/63``.
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                                  reason="no /dev/fd on this platform")
+
+
+@contextlib.contextmanager
+def pipe_path(data):
+    """A ``/dev/fd`` path to the read end of a pipe that a thread fills with
+    ``data`` and then closes. The read end is closed on leaving, so a writer
+    whose data was not all read ends with ``BrokenPipeError`` instead of
+    blocking."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(write_end, view):]
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(write_end)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 @pytest.fixture(autouse=True)

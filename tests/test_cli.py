@@ -28,8 +28,8 @@ from dca_ids.experiments import (RATE_COLUMNS, ExperimentConfig, SweepPoint,
                                  emit_report)
 from dca_ids.nsa import NsaParams
 
-from conftest import (anomalous_line, forks, make_line, normal_line,
-                      usable_cpus)
+from conftest import (anomalous_line, forks, make_line, needs_dev_fd,
+                      normal_line, pipe_path, usable_cpus)
 from test_golden_reports import TYPES, golden_lines
 
 
@@ -379,9 +379,27 @@ class TestProvenance:
         assert "time_window: forward mean" in lines
         assert "alpha: 0.05" in lines
 
-    def test_one_line_per_config_field(self, synthetic_dataset, tmp_path):
+    def test_records_and_scipy_version_are_recorded(
+            self, synthetic_dataset, tmp_path, monkeypatch):
+        import scipy
+
+        lines = self.provenance(["e2", str(synthetic_dataset),
+                                 "--dimensions", "2", "--folds", "2",
+                                 "--detectors", "10"], tmp_path / "e2")
+        assert "records: 400" in lines
+        assert f"scipy: {scipy.__version__}" in lines
+        # E1 never loads scipy; in this process another test already has.
+        monkeypatch.delitem(sys.modules, "scipy")
+        lines = self.provenance(["e1.1", str(synthetic_dataset)],
+                                tmp_path / "e1")
+        assert "records: 400" in lines
+        assert not [line for line in lines if line.startswith("scipy")]
+
+    def test_one_line_per_config_field(self, synthetic_dataset, tmp_path,
+                                       monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy", raising=False)
         lines = self.provenance(["e1.1", str(synthetic_dataset)], tmp_path)
-        names = [line.split(":")[0] for line in lines[1:-7]]
+        names = [line.split(":")[0] for line in lines[1:-8]]
         config = ExperimentConfig("E1.1", synthetic_dataset, tmp_path)
         expected = []
         for f in dataclasses.fields(config):
@@ -390,8 +408,9 @@ class TestProvenance:
                           for g in dataclasses.fields(value)]
                          if dataclasses.is_dataclass(value) else [f.name])
         assert names == expected
-        assert lines[-7:-2] == [
-            "workers: 1", "python: {}.{}.{}".format(*sys.version_info[:3]),
+        assert lines[-8:-2] == [
+            "workers: 1", "records: 400",
+            "python: {}.{}.{}".format(*sys.version_info[:3]),
             f"numpy: {np.__version__}", "time_window: forward mean",
             "alpha: 0.05"]
 
@@ -414,6 +433,30 @@ class TestInfogain:
         main(["infogain", str(synthetic_dataset), "--out", str(out)])
         by_name = {r["attribute"]: float(r["gain"]) for r in read_rows(out)}
         assert by_name["num_outbound_cmds"] == 0.0
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("command", ["e1.1", "infogain"])
+def test_pipe_path_gives_the_file_reports(tmp_path, command):
+    # cmd <(zcat data.gz) hands the command such a path.
+    data = "".join(f"{line}\n" for line in golden_lines()).encode()
+    path = tmp_path / "data.kdd"
+    path.write_bytes(data)
+
+    def reports(source, out):
+        out.mkdir()
+        argv = ([command, str(source), "--out", str(out / "gains.tsv")]
+                if command == "infogain" else
+                [command, str(source), "--out", str(out), "--seeds", "1"])
+        assert main(argv) == EXIT_OK
+        # provenance.txt names the data path, the one input that differs.
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and p.name != "provenance.txt"}
+
+    expected = reports(path, tmp_path / "from-file")
+    with pipe_path(data) as piped:
+        assert reports(piped, tmp_path / "from-pipe") == expected
+    assert len(expected) >= (1 if command == "infogain" else 4)
 
 
 COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "--no-mcav-tables", "-v",
@@ -855,7 +898,7 @@ class TestReports:
                            mann_whitney_two_sided([math.nan], [0.5]))
         config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path,
                                   seeds=(1,))
-        emit_report([base, point], config, tmp_path)
+        emit_report([base, point], config, tmp_path, records=1, workers=1)
         assert read_rows(tmp_path / "mannwhitney.tsv") == [{
             "category": "E1.2", "parameter": "5", "u_statistic": "NA",
             "p_value": "NA", "reject": "false",

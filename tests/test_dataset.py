@@ -22,7 +22,8 @@ from dca_ids.dataset import (
 )
 from dca_ids.errors import ConfigurationError, ParseError
 
-from conftest import make_line, one_record
+from conftest import make_line, needs_dev_fd, one_record, pipe_path
+from test_golden_reports import golden_lines
 
 
 def nominal(table, name, row=0):
@@ -254,7 +255,37 @@ class TestMinMax:
         assert ((test_norm >= 0) & (test_norm <= 1)).all()
 
 
+def golden_stream(boundary=None):
+    """The golden stream's bytes. With a ``boundary``, one line is padded
+    with trailing blanks so that the first ``boundary`` bytes end on a line
+    end: a reader that lost its first buffer would then drop whole records
+    instead of failing on a cut line."""
+    text = "".join(f"{line}\n" for line in golden_lines())
+    if boundary is not None:
+        end = text.rindex("\n", 0, boundary - 1)
+        text = text[:end] + " " * (boundary - 1 - end) + text[end:]
+    return text.encode()
+
+
 class TestFileIo:
+    @needs_dev_fd
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("boundary", [None, 4096, 8192],
+                             ids=["golden", "aligned-4096", "aligned-8192"])
+    def test_pipe_reads_as_the_file(self, tmp_path, boundary, packed):
+        data = golden_stream(boundary)
+        if packed:
+            data = gzip.compress(data)
+        path = tmp_path / "data.kdd"
+        path.write_bytes(data)
+        expected = read_kdd_file(path)
+        assert len(expected) == len(golden_lines())
+        with pipe_path(data) as piped:
+            table = read_kdd_file(piped)
+        assert table.values.tobytes() == expected.values.tobytes()
+        assert table.anomalous.tobytes() == expected.anomalous.tobytes()
+        assert table.vocabularies == expected.vocabularies
+
     def test_plain_file(self, tmp_path):
         path = tmp_path / "data.kdd"
         path.write_text(make_line() + "\n" + make_line(label="smurf.") + "\n")

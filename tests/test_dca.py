@@ -244,6 +244,18 @@ class TestRunDca:
         with pytest.raises(ConfigurationError):
             run_dca([0], np.zeros((2, 3)), small_config(), seed=1)
 
+    @pytest.mark.parametrize("k", [2, 5, 100, 1000])
+    def test_shuffling_one_buffer_draws_as_permutation(self, k):
+        # The engine reshuffles one buffer per step where the draw-order
+        # contract names rng.permutation(k): the generator states must agree.
+        shuffled, permuted = (np.random.default_rng(7) for _ in range(2))
+        order = np.arange(k)
+        for _ in range(3):
+            shuffled.shuffle(order)
+            permuted.permutation(k)
+            assert (shuffled.bit_generator.state
+                    == permuted.bit_generator.state)
+
     def test_mcav_table_export(self, tmp_path):
         antigens = self.antigens()
         signals = np.tile(ALL_PAMP, (len(antigens), 1))

@@ -46,7 +46,7 @@ def assert_same_run(config, signals, seed):
     assert log.total_presentations == ref_log.total_presentations
 
 
-@pytest.mark.parametrize("multiplier", [1, 5, 100])
+@pytest.mark.parametrize("multiplier", [1, 2, 5, 100])
 @pytest.mark.parametrize("population,per_step",
                          [(1, 1), (10, 10), (20, 5), (100, 10)])
 def test_matches_object_engine(population, per_step, multiplier):
@@ -59,7 +59,7 @@ def test_matches_object_engine(population, per_step, multiplier):
         assert_same_run(config, signals, seed)
 
 
-@pytest.mark.parametrize("multiplier", [1, 5, 100])
+@pytest.mark.parametrize("multiplier", [1, 2, 5, 100])
 def test_matches_object_engine_with_a_fixed_threshold(multiplier):
     # A PAMP step adds csm 200, so cells sit exactly on this threshold and
     # the next step decides their context.
