@@ -2,7 +2,7 @@
 
 One subcommand per experiment family (e1.1, e1.2, e1.3, e2), plus infogain
 and a free-form custom run. Exit codes: 0 success, 2 configuration error,
-3 parse error, 4 I/O error, 5 a worker process died.
+3 parse error, 4 I/O error, 5 a worker process died, 130 interrupted.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
 EXIT_WORKER = 5
+EXIT_INTERRUPTED = 130
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -44,13 +45,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated seed list")
     parser.add_argument("--ranges", dest="range_config_path", type=Path,
                         help="attribute range configuration file")
-    parser.add_argument("--no-mcav-tables", dest="write_mcav_tables",
-                        action="store_false",
-                        help="skip per-run MCAV table files")
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def _add_dca_params(parser: argparse.ArgumentParser) -> None:
+    """The flags of the E1 families, the ones that run the DCA."""
+    parser.add_argument("--no-mcav-tables", dest="write_mcav_tables",
+                        action="store_false",
+                        help="skip per-run MCAV table files")
     parser.add_argument("--population", dest="population_size", type=int)
     parser.add_argument("--cells-per-step", type=int)
     parser.add_argument("--threshold-low", type=float)
@@ -150,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_WORKER
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_OK
 
 

@@ -200,10 +200,10 @@ def _convert(lines: list[str], first: int,
         raise _first_error(stripped, first)
     joined = ",".join(kept)
     flat = joined.split(",")
-    # loadtxt rejects a line break inside a line. float() reads one as
+    # loadtxt rejects a carriage return inside a line. float() reads one as
     # whitespace, and a nominal field may hold one.
-    if "\r" in joined or "\n" in joined:
-        kept = [line.replace("\r", " ").replace("\n", " ") for line in kept]
+    if "\r" in joined:
+        kept = [line.replace("\r", " ") for line in kept]
     try:
         numeric = np.loadtxt(kept, delimiter=",", usecols=_NUMERIC_INDEX,
                              comments=None, ndmin=2)
@@ -227,16 +227,16 @@ def _convert(lines: list[str], first: int,
                                len(labels))
 
 
-def _table(chunks: Iterable[list[str]]) -> KddTable:
-    """The table of consecutive chunks of text lines, every chunk but the
-    last ``_CHUNK_LINES`` lines long."""
+def _table(chunks: Iterable[tuple[int, list[str]]]) -> KddTable:
+    """The table of consecutive chunks of text lines, each given with the
+    number of its first line."""
     vocabularies: dict[str, dict[str, int]] = {
         name: {} for name in CODED_ATTRIBUTES
     }
     values = [np.empty((0, len(ATTRIBUTE_NAMES)))]
     anomalous = [np.empty(0, dtype=bool)]
-    for index, lines in enumerate(chunks):
-        rows, flags = _convert(lines, 1 + index * _CHUNK_LINES, vocabularies)
+    for first, lines in chunks:
+        rows, flags = _convert(lines, first, vocabularies)
         values.append(rows)
         anomalous.append(flags)
     return KddTable(
@@ -247,28 +247,9 @@ def _table(chunks: Iterable[list[str]]) -> KddTable:
     )
 
 
-def parse_kdd_lines(lines: Iterable[str]) -> KddTable:
-    """Parse KDD-format lines into a table.
-
-    Lines are numbered from 1, stripped, and blank ones are skipped. Every
-    line needs 42 fields. Continuous fields must be finite, non-negative
-    numbers in ``np.loadtxt``'s grammar: Python's ``float()`` syntax, with
-    surrounding whitespace, ``inf`` and ``nan`` spellings and overflow to
-    inf as there, but ASCII digits only and no ``_`` digit separators. The
-    binary nominals must be exactly ``0`` or ``1``. The first malformed field
-    raises a ParseError naming its line. Lines are converted
-    ``_CHUNK_LINES`` at a time: the numeric columns by one ``np.loadtxt``
-    call, the coded nominals and labels from one split of the joined chunk,
-    so a file is never held as text in full.
-    """
-    lines = iter(lines)
-    return _table(iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)),
-                       []))
-
-
-def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
-    """The lines of a binary file, ``_CHUNK_LINES`` at a time, each chunk
-    decoded as one string and split at its line ends."""
+def _decoded(handle: Iterable[bytes]) -> Iterator[tuple[int, list[str]]]:
+    """Each ``_CHUNK_LINES`` lines of a binary file, as (the number of the
+    first, the chunk decoded as one string and split at its line ends)."""
     first = 1
     try:
         while True:
@@ -288,7 +269,7 @@ def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
                 offset = exc.start - joined.rfind(b"\n", 0, exc.start) - 1
                 raise ParseError(f"line {line}: undecodable bytes "
                                  f"({exc.reason} at byte {offset})") from None
-            yield text.split("\n")
+            yield first, text.split("\n")
             first += len(raw)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ParseError(
@@ -298,6 +279,14 @@ def _decoded(handle: Iterable[bytes]) -> Iterator[list[str]]:
 
 def read_kdd_file(path: str | Path) -> KddTable:
     """Parse a plain or gzip-compressed KDD file (UTF-8), streaming it.
+
+    Lines are numbered from 1, stripped, and blank ones are skipped. Every
+    line needs 42 fields, continuous fields finite, non-negative numbers in
+    ``np.loadtxt``'s grammar (``_number``) and the binary nominals exactly
+    ``0`` or ``1``; the first malformed field raises a ParseError naming its
+    line. Lines are converted ``_CHUNK_LINES`` at a time: the numeric
+    columns by one ``np.loadtxt`` call, the coded nominals and labels from
+    one split of the joined chunk, so a file is never held as text in full.
 
     The path is opened once and parsed from its first byte, so a pipe, a
     FIFO or ``/dev/stdin`` reads as a regular file does. gzip is recognised

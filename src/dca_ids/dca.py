@@ -14,7 +14,7 @@ the population is held as flat lists indexed by cell slot. Each sampling life
 of a slot gets a lifetime id; a step records which lifetimes received its
 antigen copies, and a lifetime's context, one byte per id, is fixed when it
 migrates or is flushed. Antigens are never copied: the per-type tallies come
-from one weighted count at the end of the run.
+from one integer count per holder column at the end of the run.
 """
 from __future__ import annotations
 
@@ -57,10 +57,7 @@ class DcaConfig:
 
     # A population of 2**16 cells holds a few MB of per-cell lists.
     MAX_POPULATION: ClassVar[int] = 2**16
-    # Per type, the mature tally is a float sum of up to multiplier x
-    # records copies, exact while that stays below 2**53: at 2**20 for any
-    # stream under 2**33 records. The copy buffer a run shuffles each step
-    # is then at most 8 MB, allocated once per run.
+    # Caps the copy buffer a run allocates once and shuffles per step at 8 MB.
     MAX_MULTIPLIER: ClassVar[int] = 2**20
 
     population_size: int = 100
@@ -127,8 +124,8 @@ def run_dca_with_log(
             "antigen stream and signal stream must be index-aligned"
         )
     windowed = apply_time_window(np.asarray(signals, dtype=float), config.window)
-    # One list per output signal, not one small list per step.
-    steps = zip(*(windowed @ DEFAULT_WEIGHTS).T.tolist())
+    # One strided row per output signal, read a float at a time.
+    steps = zip(*map(memoryview, (windowed @ DEFAULT_WEIGHTS).T))
     size = config.population_size
     per_step = config.cells_per_step
     k = config.multiplier
@@ -144,7 +141,10 @@ def run_dca_with_log(
     mat = [0.0] * size
     lifetime = list(range(size))
     mature = bytearray(size)  # context of each lifetime, by lifetime id
-    holder_lifetimes = np.empty((len(windowed), holders), dtype=np.int64)
+    # Each migration starts one lifetime, so every id is below this bound.
+    holder_lifetimes = np.empty(
+        (len(windowed), holders),
+        dtype=np.min_scalar_type(size + len(windowed) * per_step))
     order = np.arange(k)
 
     for t, (d_csm, d_semi, d_mat) in enumerate(steps):
@@ -174,12 +174,12 @@ def run_dca_with_log(
         mature[lifetime[i]] = semi[i] <= mat[i]
 
     codes = np.asarray(antigens, dtype=np.int64)
-    copies = (k - np.arange(holders) + per_step - 1) // per_step
-    mature_copies = (np.frombuffer(mature, dtype=bool)[holder_lifetimes]
-                     @ copies)
     totals = k * np.bincount(codes)
-    matures = np.bincount(codes, weights=mature_copies,
-                          minlength=len(totals)).astype(np.int64)
+    matures = np.zeros_like(totals)
+    contexts = np.frombuffer(mature, dtype=bool)
+    for j, column in enumerate(holder_lifetimes.T):
+        matures += ((k - j + per_step - 1) // per_step) * np.bincount(
+            codes[contexts[column]], minlength=len(totals))
     mcav = np.divide(matures, totals, out=np.full(len(totals), np.nan),
                      where=totals > 0)
     return mcav, PresentationLog(totals, matures)

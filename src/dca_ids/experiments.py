@@ -15,6 +15,7 @@ import functools
 import logging
 import math
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -235,6 +236,9 @@ _worker_task: Callable[[int], list[DcaRun]] | None = None
 def _adopt(task: Callable[[int], list[DcaRun]]) -> None:
     global _worker_task
     _worker_task = task
+    # Ctrl-C signals the whole process group: a worker, busy or idle, ends
+    # at once and without a traceback, and the parent reports the interrupt.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def _run_adopted(seed: int) -> list[DcaRun]:
@@ -382,7 +386,7 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
     appendix and provenance (one line per config field, then the worker
     processes the run used, the records it read, and the Python, numpy and,
-    where loaded, scipy versions). The report bodies are deterministic per
+    for E2, scipy versions). The report bodies are deterministic per
     config."""
     if not points:
         raise ReportError("no results to report")
@@ -412,8 +416,9 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                        for p, t in tests
                    ])
 
-    # Only E2 loads scipy; importing it here would cost E1 its start-up.
-    scipy = sys.modules.get("scipy")
+    # E2 is the one family that uses scipy, and has loaded it by now; E1
+    # never imports it, which spares its start-up the cost.
+    scipy = sys.modules.get("scipy") if config.experiment == "E2" else None
     _write_lines(out_dir / "provenance.txt", [
         f"dca-ids {__version__}",
         *_field_lines(config),

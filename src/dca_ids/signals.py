@@ -297,7 +297,7 @@ def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
 
     Windows shrink near the end of the stream, so any w of at least the
     stream length means the rest of the stream; w=1 returns the stream
-    unchanged.
+    itself, not a copy.
     """
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
@@ -305,7 +305,7 @@ def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
     n = len(stream)
     w = min(w, n)
     if w <= 1:
-        return stream.copy()
+        return stream
     padded = np.vstack([np.zeros((1, stream.shape[1])), np.cumsum(stream, axis=0)])
     starts = np.arange(n)
     ends = np.minimum(starts + w, n)

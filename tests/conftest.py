@@ -1,11 +1,13 @@
 import contextlib
 import os
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dca_ids.dataset import ATTRIBUTE_NAMES, NOMINAL_ATTRIBUTES, parse_kdd_lines
+from dca_ids.dataset import ATTRIBUTE_NAMES, NOMINAL_ATTRIBUTES, read_kdd_file
 
 _DEFAULTS = {
     "protocol_type": "tcp",
@@ -32,9 +34,18 @@ def make_line(label="normal.", **overrides):
     return ",".join(fields)
 
 
+def parse_lines(lines):
+    """The table ``read_kdd_file`` reads from a temporary file holding
+    ``lines``, each ended by a line break (so none may hold one)."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.kdd"
+        path.write_bytes("".join(line + "\n" for line in lines).encode())
+        return read_kdd_file(path)
+
+
 def one_record(label="normal.", **overrides):
     """A one-row KddTable parsed from ``make_line(label, **overrides)``."""
-    return parse_kdd_lines([make_line(label=label, **overrides)])
+    return parse_lines([make_line(label=label, **overrides)])
 
 
 def anomalous_line(service="private", flag="S0"):

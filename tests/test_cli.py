@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import weakref
@@ -18,8 +19,9 @@ import pytest
 
 import dca_ids
 from dca_ids import experiments
-from dca_ids.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                         EXIT_WORKER, _experiment_config, build_parser, main)
+from dca_ids.cli import (EXIT_CONFIG, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK,
+                         EXIT_PARSE, EXIT_WORKER, _experiment_config,
+                         build_parser, main)
 from dca_ids.dataset import ANOMALOUS
 from dca_ids.dca import DcaConfig
 from dca_ids.errors import ConfigurationError
@@ -252,6 +254,51 @@ class TestWorkers:
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
+    def test_ctrl_c_exits_130_with_one_line(self, synthetic_dataset,
+                                            tmp_path, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "run_dca_with_log", interrupted)
+        code = main(["e1.1", str(synthetic_dataset), "--out",
+                     str(tmp_path / "out"), "--seeds", "1"])
+        assert code == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"),
+                        reason="no process groups on this platform")
+    def test_ctrl_c_to_the_process_group_stops_every_worker(
+            self, synthetic_dataset, tmp_path):
+        # Ctrl-C in a terminal signals the whole foreground process group:
+        # the parent and both of its seed workers.
+        path = tmp_path / "data.kdd"
+        path.write_text(synthetic_dataset.read_text() * 50)
+        src = Path(dca_ids.__file__).resolve().parents[1]
+        run = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+               "from dca_ids.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", run, "e1.1", str(path), "--out",
+             str(tmp_path / "out"), "--seeds", "1,2,3,4", "-v"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            for line in proc.stderr:
+                if line.startswith("INFO E1.1"):
+                    break
+            os.killpg(proc.pid, signal.SIGINT)
+            rest = proc.stderr.read().splitlines()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stderr.close()
+        assert code == EXIT_INTERRUPTED
+        assert [line for line in rest
+                if not line.startswith("INFO E1.1")] == ["interrupted"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
     @staticmethod
     def record_pools(monkeypatch, cpus):
         """Replace the pool with a stub that records the workers and fork
@@ -380,7 +427,7 @@ class TestProvenance:
         assert "alpha: 0.05" in lines
 
     def test_records_and_scipy_version_are_recorded(
-            self, synthetic_dataset, tmp_path, monkeypatch):
+            self, synthetic_dataset, tmp_path):
         import scipy
 
         lines = self.provenance(["e2", str(synthetic_dataset),
@@ -388,16 +435,13 @@ class TestProvenance:
                                  "--detectors", "10"], tmp_path / "e2")
         assert "records: 400" in lines
         assert f"scipy: {scipy.__version__}" in lines
-        # E1 never loads scipy; in this process another test already has.
-        monkeypatch.delitem(sys.modules, "scipy")
+        # E1 never uses scipy, though the E2 run has loaded it.
         lines = self.provenance(["e1.1", str(synthetic_dataset)],
                                 tmp_path / "e1")
         assert "records: 400" in lines
         assert not [line for line in lines if line.startswith("scipy")]
 
-    def test_one_line_per_config_field(self, synthetic_dataset, tmp_path,
-                                       monkeypatch):
-        monkeypatch.delitem(sys.modules, "scipy", raising=False)
+    def test_one_line_per_config_field(self, synthetic_dataset, tmp_path):
         lines = self.provenance(["e1.1", str(synthetic_dataset)], tmp_path)
         names = [line.split(":")[0] for line in lines[1:-8]]
         config = ExperimentConfig("E1.1", synthetic_dataset, tmp_path)
@@ -459,10 +503,9 @@ def test_pipe_path_gives_the_file_reports(tmp_path, command):
     assert len(expected) >= (1 if command == "infogain" else 4)
 
 
-COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "--no-mcav-tables", "-v",
-                  "--verbose"]
-DCA_OPTIONS = ["--population", "--cells-per-step", "--threshold-low",
-               "--threshold-high", "--mcav-threshold"]
+COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "-v", "--verbose"]
+DCA_OPTIONS = ["--no-mcav-tables", "--population", "--cells-per-step",
+               "--threshold-low", "--threshold-high", "--mcav-threshold"]
 NSA_OPTIONS = ["--self-radius", "--detector-radius", "--detectors",
                "--max-attempts", "--folds", "--fold-seed"]
 
@@ -683,6 +726,14 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out"), *options])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_e2_has_no_mcav_table_flag(self, tmp_path, capsys):
+        # E2 writes no MCAV table, so the flag that skips them is E1's.
+        with pytest.raises(SystemExit) as info:
+            main(["e2", str(tmp_path / "absent.kdd"), "--no-mcav-tables"])
+        assert info.value.code == EXIT_CONFIG
+        assert ("unrecognized arguments: --no-mcav-tables"
+                in capsys.readouterr().err)
 
     def test_integer_list_that_does_not_parse(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

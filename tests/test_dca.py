@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,24 @@ class TestRunDca:
     def test_misaligned_streams_rejected(self):
         with pytest.raises(ConfigurationError):
             run_dca([0], np.zeros((2, 3)), small_config(), seed=1)
+
+    def test_traced_peak_per_step_is_bounded(self):
+        # A run holds per step its three output signals and the lifetime ids
+        # of its 10 copy holders, about 80 bytes, and no Python object. The
+        # bound fails an engine that holds the holder ids as int64 (about
+        # 120 bytes a step) or the signals as lists of floats (about 270).
+        steps = 10_000
+        rng = np.random.default_rng(3)
+        antigens = rng.integers(0, 50, steps)
+        signals = rng.random((steps, 3)) * 100
+        tracemalloc.start()
+        try:
+            run_dca_with_log(antigens, signals, DcaConfig(multiplier=100),
+                             seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / steps < 110
 
     @pytest.mark.parametrize("k", [2, 5, 100, 1000])
     def test_shuffling_one_buffer_draws_as_permutation(self, k):

@@ -20,8 +20,6 @@ _rng = np.random.default_rng(2024)
 ANTIGENS = [f"t{int(i)}" for i in _rng.integers(0, 8, STEPS - 2)]
 ANTIGENS[17:17] = ["once-a"]
 ANTIGENS[150:150] = ["once-b"]
-NAMES = sorted(set(ANTIGENS))
-CODES = [NAMES.index(antigen) for antigen in ANTIGENS]
 STREAMS = {
     "random": _rng.random((STEPS, 3)) * 100,
     "all-pamp": np.tile((100.0, 0.0, 0.0), (STEPS, 1)),
@@ -32,17 +30,19 @@ STREAMS = {
 }
 
 
-def assert_same_run(config, signals, seed):
-    mcav, log = run_dca_with_log(CODES, signals, config, seed)
+def assert_same_run(config, signals, seed, antigens=ANTIGENS):
+    names = sorted(set(antigens))
+    codes = [names.index(antigen) for antigen in antigens]
+    mcav, log = run_dca_with_log(codes, signals, config, seed)
     ref_mcav, ref_log = dca_reference.run_dca_with_log(
-        ANTIGENS, signals, config, seed
+        antigens, signals, config, seed
     )
     tallies = zip(log.totals.tolist(), log.matures.tolist())
-    assert dict(zip(NAMES, tallies)) == {
+    assert dict(zip(names, tallies)) == {
         t: (ref_log.total_count(t), ref_log.mature_count(t))
         for t in ref_log.types()
     }
-    assert dict(zip(NAMES, mcav.tolist())) == ref_mcav
+    assert dict(zip(names, mcav.tolist())) == ref_mcav
     assert log.total_presentations == ref_log.total_presentations
 
 
@@ -68,3 +68,17 @@ def test_matches_object_engine_with_a_fixed_threshold(multiplier):
                            cells_per_step=5, population_size=20,
                            multiplier=multiplier)
         assert_same_run(config, signals, seed)
+
+
+@pytest.mark.parametrize("multiplier", [1, 100])
+@pytest.mark.parametrize("steps", [6_543, 6_550])
+def test_lifetime_ids_fit_their_dtype(steps, multiplier):
+    # Every PAMP step adds csm 200, so each of the 10 cells selected per step
+    # crosses the threshold of 100 and migrates: a run makes 100 + 10 x steps
+    # lifetime ids, 65,530 at 6,543 steps, which uint16 holds, and 65,600 at
+    # 6,550, which it does not.
+    antigens = [f"t{i % 8}" for i in range(steps)]
+    config = DcaConfig(threshold_low=100.0, threshold_high=100.0,
+                       multiplier=multiplier)
+    assert_same_run(config, np.tile((100.0, 0.0, 0.0), (steps, 1)), 1,
+                    antigens)

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dca_ids.dataset import parse_kdd_lines
 from dca_ids.errors import ConfigurationError
 from dca_ids.evaluation import (
     ALPHA,
@@ -18,7 +17,7 @@ from dca_ids.evaluation import (
 )
 from dca_ids.experiments import AntigenTypes
 
-from conftest import make_line
+from conftest import make_line, parse_lines
 
 
 def brute_mann_whitney_p(x, y):
@@ -49,7 +48,7 @@ TIE_RICH = (0.0, 0.1, 0.5, 0.9, 1.0)
 
 def antigen_types(services, anomalous):
     """``AntigenTypes`` of one record per (service, anomalous) pair."""
-    return AntigenTypes.of(parse_kdd_lines([
+    return AntigenTypes.of(parse_lines([
         make_line(label="smurf." if flag else "normal.", service=service)
         for service, flag in zip(services, anomalous)
     ]))

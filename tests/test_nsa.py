@@ -16,8 +16,7 @@ from dca_ids.nsa import (
     run_nsa,
 )
 
-from conftest import anomalous_line, make_line, normal_line
-from dca_ids.dataset import parse_kdd_lines
+from conftest import anomalous_line, make_line, normal_line, parse_lines
 
 
 def classify_point(point, detectors, radius=0.1):
@@ -201,7 +200,7 @@ class TestClassify:
 
 class TestRunNsa:
     def records(self, n_normal=40, n_anomalous=40):
-        return parse_kdd_lines([normal_line()] * n_normal
+        return parse_lines([normal_line()] * n_normal
                                + [anomalous_line()] * n_anomalous)
 
     def attributes(self):
@@ -257,7 +256,7 @@ class TestRunNsa:
         rejects most candidates and the grid marks covered cells; attacks
         just right of the censored band are matched or not depending on
         where a seed's detectors fall."""
-        return parse_kdd_lines(
+        return parse_lines(
             [make_line(serror_rate=i / 40, srv_serror_rate=j / 20)
              for i in range(17) for j in range(21)]
             + [anomalous_line()] * 10
@@ -331,7 +330,7 @@ class TestRunNsa:
         # cube; the third attribute puts every attack at 1 and every normal
         # record at 0, which leaves room for detectors at d = 3, though not
         # for 100 of them in 100 attempts.
-        records = parse_kdd_lines(
+        records = parse_lines(
             [make_line(serror_rate=i / 20, srv_serror_rate=j / 20)
              for i in range(21) for j in range(21)]
             + [anomalous_line()] * 20

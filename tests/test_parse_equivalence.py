@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import parse_reference as ref
-from dca_ids.dataset import parse_kdd_lines, read_kdd_file
+from dca_ids.dataset import read_kdd_file
 from dca_ids.errors import ParseError
 
-from conftest import make_line
+from conftest import make_line, parse_lines
 from test_golden_reports import golden_lines
 from test_records_equivalence import conftest_lines, random_lines
 
@@ -45,12 +45,12 @@ def assert_same_table(got, want):
 
 
 def whitespace_lines():
-    """Blank lines, surrounding whitespace and line breaks inside a line,
-    which a nominal field keeps and a number reads as spaces, across a
-    chunk boundary."""
+    """Blank lines, surrounding whitespace and carriage returns inside a
+    line, which a nominal field keeps and a number reads as a space, across
+    a chunk boundary. A line read from a file holds no line feed."""
     return (["", "  ", make_line(service="ht\rtp"),
-             " \t" + make_line(flag="S\nF") + " \r",
-             make_line(duration="1\r", count="\n2 "), "\r"]
+             " \t" + make_line() + " \r",
+             make_line(duration="1\r", count=" 2 "), "\r"]
             + [make_line(label=f"x{i}.") for i in range(2100)] + ["", "\xa0"])
 
 
@@ -67,7 +67,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_lines_parse_identically(case):
     lines = CASES[case]()
-    assert_same_table(parse_kdd_lines(lines), ref.parse_kdd_lines(lines))
+    assert_same_table(parse_lines(lines), ref.parse_kdd_lines(lines))
 
 
 @pytest.mark.parametrize("packing", ["plain", "gzip"])
@@ -108,7 +108,7 @@ def test_malformed_lines_give_the_same_message(name, row):
     lines = [make_line()] * 4200
     lines[row] = MALFORMED[name]
     lines[row + 50] = "0,0"
-    assert (error_message(parse_kdd_lines, lines)
+    assert (error_message(parse_lines, lines)
             == error_message(ref.parse_kdd_lines, lines))
 
 

@@ -16,7 +16,6 @@ from dca_ids.dataset import (
     ATTRIBUTE_NAMES,
     attribute_matrix,
     binarize_label,
-    parse_kdd_lines,
 )
 from dca_ids.signals import (
     DEFAULT_SIGNAL_ATTRIBUTES,
@@ -30,7 +29,7 @@ from dca_ids.signals import (
     signal_stream,
 )
 
-from conftest import anomalous_line, make_line, normal_line
+from conftest import anomalous_line, make_line, normal_line, parse_lines
 
 PROTOCOLS = ("tcp", "udp", "icmp")
 # More services than info-gain bins, so binning codes would merge some.
@@ -132,7 +131,7 @@ def both(request):
     lines = CASES[request.param]()
     records = [ref.parse_kdd_record(line, number)
                for number, line in enumerate(lines, start=1)]
-    return records, parse_kdd_lines(lines)
+    return records, parse_lines(lines)
 
 
 def test_labels(both):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dca_ids.dataset import ATTRIBUTE_NAMES, CODED_ATTRIBUTES, parse_kdd_lines
+from dca_ids.dataset import ATTRIBUTE_NAMES, CODED_ATTRIBUTES
 from dca_ids.dca import DcaConfig, run_dca_with_log
 from dca_ids.errors import ConfigurationError
 from dca_ids.signals import (
@@ -23,7 +23,7 @@ from dca_ids.signals import (
     signal_stream,
 )
 
-from conftest import make_line, one_record
+from conftest import make_line, one_record, parse_lines
 
 
 def brute_entropy(labels):
@@ -75,7 +75,7 @@ def gains_of(columns, labels):
                   **{name: values[i] for name, values in columns.items()})
         for i, label in enumerate(labels)
     ]
-    return dict(attribute_gains(parse_kdd_lines(lines)))
+    return dict(attribute_gains(parse_lines(lines)))
 
 
 def label_gain(values, labels):
@@ -160,17 +160,17 @@ def selected(table, cutoff):
 
 class TestSelectAttributes:
     def test_cutoff_zero_keeps_everything(self):
-        table = parse_kdd_lines([make_line(label="normal."),
+        table = parse_lines([make_line(label="normal."),
                                  make_line(label="smurf.", count=100)])
         assert len(selected(table, 0.0)) == 41
 
     def test_cutoff_above_max_removes_everything(self):
-        table = parse_kdd_lines([make_line(label="normal."),
+        table = parse_lines([make_line(label="normal."),
                                  make_line(label="smurf.", count=100)])
         assert selected(table, 2.0) == []
 
     def test_discriminating_attribute_wins(self):
-        table = parse_kdd_lines(
+        table = parse_lines(
             [make_line(label="normal.", service="http")] * 2
             + [make_line(label="smurf.", service="private")] * 2
         )
@@ -179,7 +179,7 @@ class TestSelectAttributes:
         assert "duration" not in chosen
 
     def test_gains_sorted_descending(self):
-        table = parse_kdd_lines(
+        table = parse_lines(
             [make_line(label="normal.", service="http")] * 3
             + [make_line(label="smurf.", service="private", count=9)] * 3
         )
@@ -189,7 +189,7 @@ class TestSelectAttributes:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigurationError):
-            attribute_gains(parse_kdd_lines([]))
+            attribute_gains(parse_lines([]))
 
 
 class TestNormalizeSignal:
@@ -278,7 +278,7 @@ class TestSignalTriple:
         assert all(0 <= v <= 100 for v in scores)
 
     def test_stream_rows_follow_records(self):
-        table = parse_kdd_lines([make_line(count=40), make_line(count=60)])
+        table = parse_lines([make_line(count=40), make_line(count=60)])
         stream = signal_stream(table, self.config())
         assert stream.shape == (2, 3)
         assert stream[:, 1].tolist() == [20.0, 30.0]
@@ -293,7 +293,7 @@ class TestDefaultConfig:
         assert len(config.by_category("SS")) == 3
 
     def test_percentile_bounds_from_records(self):
-        table = parse_kdd_lines([make_line(count=i) for i in range(101)])
+        table = parse_lines([make_line(count=i) for i in range(101)])
         config = default_signal_config(table)
         count_range = next(r for r in config.ranges if r.name == "count")
         assert count_range.lower == pytest.approx(5.0)
@@ -402,18 +402,18 @@ class TestAntigens:
         assert antigen_names(one_record()) == ["tcp:http:SF"]
 
     def test_deterministic(self):
-        table = parse_kdd_lines([make_line(), make_line()])
+        table = parse_lines([make_line(), make_line()])
         assert antigen_stream(table).tolist() == [0, 0]
         assert antigen_names(table) == antigen_names(one_record()) * 2
 
     def test_distinct_triples_distinct_ids(self):
-        a, b = antigen_stream(parse_kdd_lines([
+        a, b = antigen_stream(parse_lines([
             make_line(protocol_type="udp"), make_line(protocol_type="tcp"),
         ]))
         assert a != b
 
     def test_stream_order_preserved(self):
-        table = parse_kdd_lines([make_line(service="http"),
+        table = parse_lines([make_line(service="http"),
                                  make_line(service="smtp")])
         assert antigen_names(table) == ["tcp:http:SF", "tcp:smtp:SF"]
 
