@@ -64,11 +64,14 @@ ATTRIBUTE_NAMES: tuple[str, ...] = (
     "dst_host_srv_rerror_rate",
 )
 
-# The seven symbolic attributes per the kddcup.names header.
-NOMINAL_ATTRIBUTES: frozenset[str] = frozenset(
-    {"protocol_type", "service", "flag", "land", "logged_in",
-     "is_host_login", "is_guest_login"}
+# Nominals stored as integer codes into a per-column vocabulary.
+CODED_ATTRIBUTES: tuple[str, ...] = ("protocol_type", "service", "flag")
+# Nominals whose only values are '0' and '1', stored as 0.0 / 1.0.
+BINARY_ATTRIBUTES: tuple[str, ...] = (
+    "land", "logged_in", "is_host_login", "is_guest_login",
 )
+# The seven symbolic attributes per the kddcup.names header.
+NOMINAL_ATTRIBUTES = frozenset(CODED_ATTRIBUTES + BINARY_ATTRIBUTES)
 
 CONTINUOUS_ATTRIBUTES: tuple[str, ...] = tuple(
     name for name in ATTRIBUTE_NAMES if name not in NOMINAL_ATTRIBUTES
@@ -79,13 +82,6 @@ _INDEX: dict[str, int] = {name: i for i, name in enumerate(ATTRIBUTE_NAMES)}
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
 BinaryLabel = Literal["normal", "anomalous"]
-
-# Nominals stored as integer codes into a per-column vocabulary.
-CODED_ATTRIBUTES: tuple[str, ...] = ("protocol_type", "service", "flag")
-# Nominals whose only values are '0' and '1', stored as 0.0 / 1.0.
-BINARY_ATTRIBUTES: tuple[str, ...] = (
-    "land", "logged_in", "is_host_login", "is_guest_login",
-)
 
 _FIELDS = len(ATTRIBUTE_NAMES) + 1
 _BINARY_INDEX = [_INDEX[name] for name in BINARY_ATTRIBUTES]

@@ -99,13 +99,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One result row: its rates per seed, in the config's seed order, and
-    their mean."""
+    """One result row: its rates per seed (and, for E1, each seed's scored
+    run, for the MCAV tables), in the config's seed order, and their mean."""
 
     category: str
     parameter: str
     per_seed: tuple[ConfusionRates, ...]
     mann_whitney: MannWhitneyResult | None = None
+    runs: tuple[ScoredRun, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def mean(self) -> ConfusionRates:
@@ -134,11 +135,11 @@ class AntigenTypes:
 
 
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
-    """Execute one experiment family and write its reports.
+    """Execute one experiment family, then write its reports.
 
     The range file (for E1, that it gives every category an attribute), E1's
     sweep points and E2's attribute list are checked before the data file
-    is read."""
+    is read; the reports are written after the last run."""
     ranges = (None if config.range_config_path is None
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
@@ -157,11 +158,9 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
-    mcav_dir = (out_dir / "mcav" if config.write_mcav_tables
-                and config.experiment != "E2" else None)
-    (mcav_dir or out_dir).mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    records, workers = len(table), 1
+    records, workers, names = len(table), 1, []
     if config.experiment == "E2":
         points = _run_e2(config, table, attributes)
     else:
@@ -169,10 +168,10 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         stream = AntigenTypes.of(table)
         signals = signal_stream(table, ranges or default_signal_config(table))
         del table
-        workers = _e1_workers(len(config.seeds))
-        points = _run_e1(config, sweep, stream, signals, mcav_dir, workers)
+        workers, names = _e1_workers(len(config.seeds)), stream.names
+        points = _run_e1(config, sweep, stream, signals, workers)
 
-    emit_report(points, config, out_dir, records, workers)
+    emit_report(points, config, out_dir, records, workers, names)
     return points
 
 
@@ -216,6 +215,8 @@ def _e1_workers(seeds: int) -> int:
 
 # (mcav, presentation log, elapsed seconds) of one DCA run.
 DcaRun = tuple[np.ndarray, PresentationLog, float]
+# (mcav, presentation log, the anomalous mask it was scored with) of one run.
+ScoredRun = tuple[np.ndarray, PresentationLog, np.ndarray]
 
 
 def _seed_runs(antigens: np.ndarray, signals: np.ndarray,
@@ -276,46 +277,40 @@ def _seed_results(task: Callable[[int], list[DcaRun]], seeds: Sequence[int],
 
 
 def _run_e1(config: ExperimentConfig, points: Sequence[E1Point],
-            stream: AntigenTypes, signals: np.ndarray, mcav_dir: Path | None,
+            stream: AntigenTypes, signals: np.ndarray,
             workers: int) -> list[SweepPoint]:
     """Run ``points`` (from ``_e1_points``, the base run first) and compare
     each later point's per-seed TP rates against the base's.
 
     One task per seed runs every point of that seed, on ``workers``
-    processes. The runs are scored, written and logged here, in seed order,
-    so the reports do not depend on ``workers``."""
+    processes. The runs are scored and logged here, in seed order, so the
+    results do not depend on ``workers``. Nothing is written."""
     dca = config.dca
     truth = stream.anomalous_share > dca.mcav_threshold
-    per_point: list[list[ConfusionRates]] = [[] for _ in points]
+    per_point = [([], []) for _ in points]  # per-seed rates, scored runs
     task = functools.partial(_seed_runs, stream.codes, signals,
                              [point_dca for *_, point_dca in points])
     with _seed_results(task, config.seeds, workers) as results:
         for seed, runs in zip(config.seeds, results):
-            for (category, parameter, _), per_seed, (mcav, log, elapsed) in (
-                    zip(points, per_point, runs)):
+            for (category, parameter, _), (per_seed, scored), (
+                    mcav, log, elapsed) in zip(points, per_point, runs):
                 anomalous = mcav > dca.mcav_threshold
                 rates = confusion_from_instances(anomalous, truth,
                                                  stream.counts)
                 per_seed.append(rates)
-                if mcav_dir is not None:
-                    safe_param = parameter.replace("=", "_")
-                    write_mcav_table(
-                        mcav, log, anomalous, mcav_dir
-                        / f"mcav_{category}_{safe_param}_seed{seed}.tsv",
-                        stream.names,
-                    )
+                scored.append((mcav, log, anomalous))
                 logger.info("%s %s seed=%d tp=%.4f fp=%s elapsed=%.2fs",
                             category, parameter, seed, rates.tp_rate,
                             _fmt(rates.fp_rate), elapsed)
 
-    base = SweepPoint("E1.1", "-", tuple(per_point[0]))
-    base_tp = [r.tp_rate for r in base.per_seed]
-    return [base] + [
+    base_tp = [r.tp_rate for r in per_point[0][0]]
+    return [
         SweepPoint(category, parameter, tuple(per_seed),
                    mann_whitney_two_sided([r.tp_rate for r in per_seed],
-                                          base_tp))
-        for (category, parameter, _), per_seed in zip(points[1:],
-                                                      per_point[1:])
+                                          base_tp) if i else None,
+                   tuple(scored))
+        for i, ((category, parameter, _), (per_seed, scored)) in enumerate(
+            zip(points, per_point))
     ]
 
 
@@ -382,15 +377,20 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
-                out_dir: Path, records: int, workers: int) -> None:
+                out_dir: Path, records: int, workers: int,
+                names: Sequence[str] = ()) -> None:
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
-    appendix and provenance (one line per config field, then the worker
-    processes the run used, the records it read, and the Python, numpy and,
-    for E2, scipy versions). The report bodies are deterministic per
-    config."""
+    appendix, each held run's MCAV table (types named ``names[code]``) and,
+    last, provenance: one line per config field, then the worker processes
+    the run used, the records it read, and the Python, numpy and, for E2,
+    scipy versions. The report bodies are deterministic per config."""
     if not points:
         raise ReportError("no results to report")
-    out_dir = Path(out_dir)
+    tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
+              for p in points if config.write_mcav_tables
+              for seed, run in zip(config.seeds, p.runs)]
+    if tables:  # first, so that a file in its place fails before any write
+        (out_dir / "mcav").mkdir(exist_ok=True)
 
     _write_tsv(out_dir / "results.tsv",
                ("category", "parameter", *RATE_COLUMNS),
@@ -415,6 +415,9 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                         t.p_value, str(t.reject).lower())
                        for p, t in tests
                    ])
+    for name, (mcav, log, anomalous) in tables:
+        write_mcav_table(mcav, log, anomalous,
+                         out_dir / "mcav" / name.replace("=", "_"), names)
 
     # E2 is the one family that uses scipy, and has loaded it by now; E1
     # never imports it, which spares its start-up the cost.

@@ -45,6 +45,22 @@ def read_rows(path):
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
+def tree(out):
+    """Every path under ``out``, with a file's bytes (None for a
+    directory)."""
+    return {path.relative_to(out): path.read_bytes() if path.is_file()
+            else None for path in out.rglob("*")}
+
+
+def earlier_run(data, out):
+    """Write an ``e1.1 --seeds 9`` run into ``out`` and return its
+    ``tree``: a later run of other seeds that writes any MCAV table adds a
+    file to it."""
+    assert main(["e1.1", str(data), "--out", str(out),
+                 "--seeds", "9"]) == EXIT_OK
+    return tree(out)
+
+
 class TestE1Commands:
     def test_e1_1_reports(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"
@@ -236,23 +252,28 @@ class TestWorkers:
     @forks
     def test_killed_worker_exits_with_the_worker_code(
             self, synthetic_dataset, tmp_path, monkeypatch, capfd, two_cpus):
+        # The last seed's worker dies once an earlier seed's runs are in:
+        # the output directory keeps an earlier run's reports as they were.
+        out = tmp_path / "out"
+        before = earlier_run(synthetic_dataset, out)
         parent = os.getpid()
         run_dca_with_log = experiments.run_dca_with_log
 
-        def killed_in_a_worker(*args):
-            if os.getpid() != parent:
+        def killed_in_a_worker(antigens, signals, config, seed):
+            if seed == 4 and os.getpid() != parent:
                 os._exit(9)  # as a worker killed by a signal ends
-            return run_dca_with_log(*args)
+            return run_dca_with_log(antigens, signals, config, seed)
 
         monkeypatch.setattr(experiments, "run_dca_with_log",
                             killed_in_a_worker)
-        code = main(["e1.1", str(synthetic_dataset), "--out",
-                     str(tmp_path / "out"), "--seeds", "1,2"])
+        code = main(["e1.1", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1,2,3,4"])
         assert code == EXIT_WORKER
         err = capfd.readouterr().err
         assert "worker error: a seed worker process died" in err
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
+        assert tree(out) == before
 
     def test_ctrl_c_exits_130_with_one_line(self, synthetic_dataset,
                                             tmp_path, monkeypatch, capsys):
@@ -270,7 +291,10 @@ class TestWorkers:
     def test_ctrl_c_to_the_process_group_stops_every_worker(
             self, synthetic_dataset, tmp_path):
         # Ctrl-C in a terminal signals the whole foreground process group:
-        # the parent and both of its seed workers.
+        # the parent and both of its seed workers. The output directory
+        # keeps an earlier run's reports as they were.
+        out = tmp_path / "out"
+        before = earlier_run(synthetic_dataset, out)
         path = tmp_path / "data.kdd"
         path.write_text(synthetic_dataset.read_text() * 50)
         src = Path(dca_ids.__file__).resolve().parents[1]
@@ -278,7 +302,7 @@ class TestWorkers:
                "from dca_ids.cli import main; sys.exit(main(sys.argv[1:]))")
         proc = subprocess.Popen(
             [sys.executable, "-c", run, "e1.1", str(path), "--out",
-             str(tmp_path / "out"), "--seeds", "1,2,3,4", "-v"],
+             str(out), "--seeds", "1,2,3,4", "-v"],
             env={**os.environ, "PYTHONPATH": str(src)},
             stderr=subprocess.PIPE, text=True, start_new_session=True)
         try:
@@ -298,6 +322,7 @@ class TestWorkers:
                 if not line.startswith("INFO E1.1")] == ["interrupted"]
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+        assert tree(out) == before
 
     @staticmethod
     def record_pools(monkeypatch, cpus):
@@ -974,6 +999,54 @@ class TestReports:
         assert "i/o error: cannot write" in capsys.readouterr().err
         assert not list(out.rglob(report))
         assert not list(out.rglob("*.tmp"))
+        # provenance.txt is written last, so it says every report is there
+        assert not (out / "provenance.txt").exists()
+
+    def test_failed_run_leaves_the_output_directory_as_it_was(
+            self, synthetic_dataset, tmp_path, monkeypatch, capsys, one_cpu):
+        # The last seed's run fails after the earlier seeds' runs are in;
+        # the reports are written only after every run.
+        out = tmp_path / "out"
+        before = earlier_run(synthetic_dataset, out)
+        run = experiments.run_dca_with_log
+
+        def failing_at_the_last_seed(antigens, signals, config, seed):
+            if seed == 3:
+                raise OSError("input/output error")
+            return run(antigens, signals, config, seed)
+
+        monkeypatch.setattr(experiments, "run_dca_with_log",
+                            failing_at_the_last_seed)
+        code = main(["e1.2", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1,2,3", "--multipliers", "5"])
+        assert code == EXIT_IO
+        assert "input/output error" in capsys.readouterr().err
+        assert tree(out) == before
+
+    @pytest.mark.parametrize("flags,tables", [
+        ([], ["mcav_E1.1_-_seed1.tsv", "mcav_E1.1_-_seed2.tsv",
+              "mcav_E1.2_5_seed1.tsv", "mcav_E1.2_5_seed2.tsv"]),
+        (["--no-mcav-tables"], []),
+    ], ids=["tables", "no-tables"])
+    def test_one_write_mcav_table_call_per_seed_and_point(
+            self, synthetic_dataset, tmp_path, monkeypatch, one_cpu, flags,
+            tables):
+        # Each MCAV table is one call of write_mcav_table, the function the
+        # benchmark times as a span of its own.
+        written = []
+        write = experiments.write_mcav_table
+
+        def recording_write(mcav, log, anomalous, path, names):
+            written.append(path.name)
+            write(mcav, log, anomalous, path, names)
+
+        monkeypatch.setattr(experiments, "write_mcav_table", recording_write)
+        out = tmp_path / "out"
+        assert main(["e1.2", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1,2", "--multipliers", "5",
+                     *flags]) == EXIT_OK
+        assert sorted(written) == tables
+        assert sorted(path.name for path in out.rglob("mcav_*")) == tables
 
     def test_report_path_taken_by_a_directory(self, synthetic_dataset,
                                               tmp_path, capsys):
@@ -984,6 +1057,17 @@ class TestReports:
         assert code == EXIT_IO
         assert f"cannot write {out / 'results.tsv'}" in capsys.readouterr().err
         assert not list(out.rglob("*.tmp"))
+
+    def test_mcav_path_taken_by_a_file_fails_before_any_report(
+            self, synthetic_dataset, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "mcav").write_text("not a directory\n")
+        before = tree(out)
+        code = main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert tree(out) == before
 
     def test_mcav_class_column_is_the_mask_the_run_is_scored_with(
             self, tmp_path):
