@@ -7,7 +7,10 @@ distributed archive). Plain text and gzip files are both accepted.
 """
 from __future__ import annotations
 
+import dataclasses
 import gzip
+import hashlib
+import io
 import itertools
 import math
 import zlib
@@ -92,6 +95,10 @@ _BINARY_VALUES = frozenset({"0", "1"})
 # Lines converted per chunk: large enough to amortise the array calls, small
 # enough that a chunk's field strings stay a few MB.
 _CHUNK_LINES = 2048
+# The factor the parse's output array grows by when a chunk does not fit.
+_GROWTH = 1.5
+# Bytes per read from the data file, each hashed as it is read.
+_READ_BYTES = 1 << 16
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
@@ -99,21 +106,34 @@ _GZIP_MAGIC = b"\x1f\x8b"
 class KddTable:
     """Parsed connections, one row per record in file order.
 
-    ``values`` is an (n, 41) float64 matrix in schema order: continuous
-    attributes as read, the binary nominals as 0/1, and protocol_type,
-    service and flag as codes into ``vocabularies[name]``. ``anomalous`` is
-    True for every record whose label is not 'normal'.
+    ``values`` is an (n, len(attributes)) float64 matrix whose columns are
+    the named ``attributes``, all 41 in schema order unless the reader
+    asked for fewer: continuous attributes as read, the binary nominals as
+    0/1, and protocol_type, service and flag as codes into
+    ``vocabularies[name]``, which hold every value read whether or not its
+    column is kept. ``anomalous`` is True for every record whose label is
+    not 'normal'. ``sha256`` is the hex digest of the file's bytes as read,
+    before gunzip.
     """
 
     values: np.ndarray
     anomalous: np.ndarray
     vocabularies: dict[str, tuple[str, ...]]
+    attributes: tuple[str, ...] = ATTRIBUTE_NAMES
+    sha256: str | None = None
 
     def __len__(self) -> int:
         return len(self.anomalous)
 
+    def position(self, name: str) -> int:
+        """The index in ``values`` of the column ``name``."""
+        try:
+            return self.attributes.index(name)
+        except ValueError:
+            raise KeyError(f"{name!r} is not a column of this table") from None
+
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, _INDEX[name]]
+        return self.values[:, self.position(name)]
 
 
 def binarize_label(label: str) -> BinaryLabel:
@@ -223,23 +243,43 @@ def _convert(lines: list[str], first: int,
                                len(labels))
 
 
-def _table(chunks: Iterable[tuple[int, list[str]]]) -> KddTable:
-    """The table of consecutive chunks of text lines, each given with the
-    number of its first line."""
+def _table(chunks: Iterable[tuple[int, list[str]]],
+           attributes: Sequence[str]) -> KddTable:
+    """The table of the named columns of consecutive chunks of text lines,
+    each given with the number of its first line.
+
+    Each chunk's kept columns are written into one output array, grown by
+    ``_GROWTH`` in place (``ndarray.resize``, which reallocates) when a
+    chunk does not fit and cut to the rows read at the end, so the table is
+    never held twice. No view of the arrays outlives the statement that
+    makes it, so they are resized without the reference check, which a
+    profiler's reference to the method would fail."""
+    columns = [_INDEX[name] for name in attributes]
     vocabularies: dict[str, dict[str, int]] = {
         name: {} for name in CODED_ATTRIBUTES
     }
-    values = [np.empty((0, len(ATTRIBUTE_NAMES)))]
-    anomalous = [np.empty(0, dtype=bool)]
+    values = np.empty((0, len(columns)))
+    anomalous = np.empty(0, dtype=bool)
+    size = 0
     for first, lines in chunks:
         rows, flags = _convert(lines, first, vocabularies)
-        values.append(rows)
-        anomalous.append(flags)
+        end = size + len(rows)
+        if end > len(values):
+            capacity = max(end, int(len(values) * _GROWTH))
+            values.resize((capacity, len(columns)), refcheck=False)
+            anomalous.resize(capacity, refcheck=False)
+        # The default mode="raise" would buffer ``out``; every index is valid.
+        np.take(rows, columns, axis=1, out=values[size:end], mode="clip")
+        anomalous[size:end] = flags
+        size = end
+    values.resize((size, len(columns)), refcheck=False)
+    anomalous.resize(size, refcheck=False)
     return KddTable(
-        values=np.concatenate(values),
-        anomalous=np.concatenate(anomalous),
+        values=values,
+        anomalous=anomalous,
         vocabularies={name: tuple(vocabulary)
                       for name, vocabulary in vocabularies.items()},
+        attributes=tuple(attributes),
     )
 
 
@@ -273,29 +313,54 @@ def _decoded(handle: Iterable[bytes]) -> Iterator[tuple[int, list[str]]]:
         ) from None
 
 
-def read_kdd_file(path: str | Path) -> KddTable:
-    """Parse a plain or gzip-compressed KDD file (UTF-8), streaming it.
+class _Hashed(io.RawIOBase):
+    """A raw binary file that feeds every byte read from it to a sha256."""
+
+    def __init__(self, raw: io.RawIOBase):
+        self.raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        count = self.raw.readinto(buffer)
+        if count:
+            self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+
+def read_kdd_file(path: str | Path,
+                  attributes: Sequence[str] = ATTRIBUTE_NAMES) -> KddTable:
+    """Parse a plain or gzip-compressed KDD file (UTF-8), streaming it, and
+    keep the columns of ``attributes``, in that order, and the labels.
 
     Lines are numbered from 1, stripped, and blank ones are skipped. Every
     line needs 42 fields, continuous fields finite, non-negative numbers in
     ``np.loadtxt``'s grammar (``_number``) and the binary nominals exactly
-    ``0`` or ``1``; the first malformed field raises a ParseError naming its
-    line. Lines are converted ``_CHUNK_LINES`` at a time: the numeric
-    columns by one ``np.loadtxt`` call, the coded nominals and labels from
-    one split of the joined chunk, so a file is never held as text in full.
+    ``0`` or ``1``, in every column, kept or not; the first malformed field
+    raises a ParseError naming its line. Lines are converted
+    ``_CHUNK_LINES`` at a time: the numeric columns by one ``np.loadtxt``
+    call, the coded nominals and labels from one split of the joined chunk,
+    so a file is never held as text in full.
 
     The path is opened once and parsed from its first byte, so a pipe, a
-    FIFO or ``/dev/stdin`` reads as a regular file does. gzip is recognised
-    by its magic bytes, whatever the file is named, through ``peek``, which
-    consumes nothing. On a pipe ``peek`` sees only what the producer's first
-    write delivered, so a gzip stream whose producer writes a single byte
-    first is read as plain text.
+    FIFO or ``/dev/stdin`` reads as a regular file does. Every byte read is
+    hashed in the same pass, before gunzip, into the table's ``sha256``.
+    gzip is recognised by its magic bytes, whatever the file is named,
+    through ``peek``, which consumes nothing. On a pipe ``peek`` sees only
+    what the producer's first write delivered, so a gzip stream whose
+    producer writes a single byte first is read as plain text.
     """
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=0) as raw:
+        hashed = _Hashed(raw)
+        handle = io.BufferedReader(hashed, _READ_BYTES)
         if handle.peek(2)[:2] == _GZIP_MAGIC:
             with gzip.GzipFile(fileobj=handle) as unpacked:
-                return _table(_decoded(unpacked))
-        return _table(_decoded(handle))
+                table = _table(_decoded(unpacked), attributes)
+        else:
+            table = _table(_decoded(handle), attributes)
+    return dataclasses.replace(table, sha256=hashed.sha256.hexdigest())
 
 
 def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:
@@ -318,12 +383,17 @@ def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:
     return folds
 
 
-def minmax_fit(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (min, max) bounds computed on the training split only."""
-    train = np.asarray(train, dtype=float)
-    if train.size == 0:
+def minmax_fit(values: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (min, max) bounds of the training split: the rows of
+    ``values`` that the bool mask ``rows`` marks. They are masked
+    reductions, so the rows are never copied out."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0 or not rows.any():
         raise ConfigurationError("cannot fit min-max bounds on empty data")
-    return train.min(axis=0), train.max(axis=0)
+    where = rows[:, None]
+    return (values.min(axis=0, where=where, initial=math.inf),
+            values.max(axis=0, where=where, initial=-math.inf))
 
 
 def minmax_apply(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -339,5 +409,9 @@ def minmax_apply(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
 
 def attribute_matrix(table: KddTable,
                      attributes: Sequence[str]) -> np.ndarray:
-    """Numeric matrix (records x attributes) for the given attribute names."""
-    return table.values[:, [_INDEX[name] for name in attributes]]
+    """Numeric matrix (records x attributes) for the given attribute names:
+    the table's own ``values``, not a copy, when they are its columns in
+    order."""
+    if tuple(attributes) == table.attributes:
+        return table.values
+    return table.values[:, [table.position(name) for name in attributes]]

@@ -25,7 +25,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .dataset import ANOMALOUS, NORMAL, KddTable, kfold_split, read_kdd_file
+from .dataset import (
+    ANOMALOUS,
+    CODED_ATTRIBUTES,
+    NORMAL,
+    KddTable,
+    kfold_split,
+    read_kdd_file,
+)
 from .dca import DcaConfig, PresentationLog, run_dca_with_log
 from .errors import ConfigurationError, ReportError, WorkerError
 from .evaluation import (
@@ -139,7 +146,10 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
 
     The range file (for E1, that it gives every category an attribute), E1's
     sweep points and E2's attribute list are checked before the data file
-    is read; the reports are written after the last run."""
+    is read. The read keeps only the columns the family uses: E1's signal
+    attributes and the coded nominals its antigens are made of, or the
+    first max(dimensions) of E2's attributes. The reports are written after
+    the last run."""
     ranges = (None if config.range_config_path is None
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
@@ -150,17 +160,19 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
                 f"dimension {max(config.dimensions)} exceeds the "
                 f"{len(attributes)} configured attributes"
             )
+        columns = attributes[:max(config.dimensions)]
     else:
         if ranges is not None:
             ranges.check_categories()
         sweep = _e1_points(config)
-    table = read_kdd_file(config.data_path)
+        columns = attributes + CODED_ATTRIBUTES
+    table = read_kdd_file(config.data_path, columns)
     if not table:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records, workers, names = len(table), 1, []
+    records, data_sha256, workers, names = len(table), table.sha256, 1, []
     if config.experiment == "E2":
         points = _run_e2(config, table, attributes)
     else:
@@ -171,7 +183,8 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         workers, names = _e1_workers(len(config.seeds)), stream.names
         points = _run_e1(config, sweep, stream, signals, workers)
 
-    emit_report(points, config, out_dir, records, workers, names)
+    emit_report(points, config, out_dir, records, data_sha256, workers,
+                names)
     return points
 
 
@@ -377,13 +390,14 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
-                out_dir: Path, records: int, workers: int,
+                out_dir: Path, records: int, data_sha256: str, workers: int,
                 names: Sequence[str] = ()) -> None:
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
     appendix, each held run's MCAV table (types named ``names[code]``) and,
     last, provenance: one line per config field, then the worker processes
-    the run used, the records it read, and the Python, numpy and, for E2,
-    scipy versions. The report bodies are deterministic per config."""
+    the run used, the records it read, the sha256 of the data file's bytes,
+    and the Python, numpy and, for E2, scipy versions. The report bodies are
+    deterministic per config."""
     if not points:
         raise ReportError("no results to report")
     tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
@@ -427,6 +441,7 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         *_field_lines(config),
         f"workers: {workers}",
         f"records: {records}",
+        f"data_sha256: {data_sha256}",
         "python: {}.{}.{}".format(*sys.version_info[:3]),
         f"numpy: {np.__version__}",
         *([f"scipy: {scipy.__version__}"] if scipy else []),

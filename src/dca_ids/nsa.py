@@ -182,9 +182,11 @@ def run_nsa(
     d and seed, looping fold, then dimension, then seed.
 
     Each piece of state is built once, at the level it depends on: the
-    attribute matrix of the first max(dimensions) attributes once; per fold,
-    min-max bounds fit on the training rows and applied to the whole matrix
-    (per column, so a dimension d takes the first d columns); per (fold, d),
+    attribute matrix of the first max(dimensions) attributes once (the
+    table's own array when it holds just those columns); per fold, min-max
+    bounds fit on the training rows in place and applied to the normal
+    training rows and the test rows (per column, so a dimension d takes the
+    first d columns); per (fold, d),
     one ``Censor`` over the normal training rows. Returns, per dimension, one
     fold-averaged ConfusionRates per seed, in seed order. Each fold run logs
     one info line with its elapsed seconds. A fold without any
@@ -212,10 +214,9 @@ def run_nsa(
             logger.warning("fold %d has no normal training instances; skipped",
                            fold)
             continue
-        lo, hi = minmax_fit(matrix[~test_mask])
-        scaled = minmax_apply(matrix, lo, hi)
-        self_points = scaled[self_mask]
-        test_points = scaled[test_mask]
+        lo, hi = minmax_fit(matrix, ~test_mask)
+        self_points = minmax_apply(matrix[self_mask], lo, hi)
+        test_points = minmax_apply(matrix[test_mask], lo, hi)
         truth = table.anomalous[test_mask]
         for d, per_seed, returned in zip(dimensions, per_dimension, short):
             censor = Censor(self_points[:, :d], params.self_radius,

@@ -34,13 +34,14 @@ def make_line(label="normal.", **overrides):
     return ",".join(fields)
 
 
-def parse_lines(lines):
-    """The table ``read_kdd_file`` reads from a temporary file holding
-    ``lines``, each ended by a line break (so none may hold one)."""
+def parse_lines(lines, attributes=ATTRIBUTE_NAMES):
+    """The table of ``attributes`` that ``read_kdd_file`` reads from a
+    temporary file holding ``lines``, each ended by a line break (so none
+    may hold one)."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "data.kdd"
         path.write_bytes("".join(line + "\n" for line in lines).encode())
-        return read_kdd_file(path)
+        return read_kdd_file(path, attributes)
 
 
 def one_record(label="normal.", **overrides):

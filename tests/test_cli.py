@@ -1,8 +1,10 @@
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import gc
 import gzip
+import hashlib
 import logging
 import math
 import multiprocessing
@@ -22,9 +24,9 @@ from dca_ids import experiments
 from dca_ids.cli import (EXIT_CONFIG, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK,
                          EXIT_PARSE, EXIT_WORKER, _experiment_config,
                          build_parser, main)
-from dca_ids.dataset import ANOMALOUS
+from dca_ids.dataset import ANOMALOUS, read_kdd_file
 from dca_ids.dca import DcaConfig
-from dca_ids.errors import ConfigurationError
+from dca_ids.errors import ConfigurationError, ParseError
 from dca_ids.evaluation import ConfusionRates, mann_whitney_two_sided
 from dca_ids.experiments import (RATE_COLUMNS, ExperimentConfig, SweepPoint,
                                  emit_report)
@@ -157,8 +159,8 @@ class TestE1Commands:
         tables, alive = [], []
         read, run = experiments.read_kdd_file, experiments.run_dca_with_log
 
-        def tracked_read(path):
-            table = read(path)
+        def tracked_read(*args):
+            table = read(*args)
             tables.append(weakref.ref(table))
             return table
 
@@ -466,9 +468,26 @@ class TestProvenance:
         assert "records: 400" in lines
         assert not [line for line in lines if line.startswith("scipy")]
 
+    @pytest.mark.parametrize("source", ["file",
+                                        pytest.param("pipe", marks=needs_dev_fd)])
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+    def test_data_sha256_is_the_digest_of_the_bytes(
+            self, synthetic_dataset, tmp_path, packed, source):
+        data = synthetic_dataset.read_bytes()
+        if packed:
+            data = gzip.compress(data)
+        path = tmp_path / "data.kdd"
+        path.write_bytes(data)
+        with (pipe_path(data) if source == "pipe"
+              else contextlib.nullcontext(path)) as data_path:
+            lines = self.provenance(["e2", str(data_path), "--dimensions",
+                                     "2", "--folds", "2", "--detectors",
+                                     "10"], tmp_path)
+        assert f"data_sha256: {hashlib.sha256(data).hexdigest()}" in lines
+
     def test_one_line_per_config_field(self, synthetic_dataset, tmp_path):
         lines = self.provenance(["e1.1", str(synthetic_dataset)], tmp_path)
-        names = [line.split(":")[0] for line in lines[1:-8]]
+        names = [line.split(":")[0] for line in lines[1:-9]]
         config = ExperimentConfig("E1.1", synthetic_dataset, tmp_path)
         expected = []
         for f in dataclasses.fields(config):
@@ -477,8 +496,9 @@ class TestProvenance:
                           for g in dataclasses.fields(value)]
                          if dataclasses.is_dataclass(value) else [f.name])
         assert names == expected
-        assert lines[-8:-2] == [
-            "workers: 1", "records: 400",
+        digest = hashlib.sha256(synthetic_dataset.read_bytes()).hexdigest()
+        assert lines[-9:-2] == [
+            "workers: 1", "records: 400", f"data_sha256: {digest}",
             "python: {}.{}.{}".format(*sys.version_info[:3]),
             f"numpy: {np.__version__}", "time_window: forward mean",
             "alpha: 0.05"]
@@ -659,6 +679,30 @@ class TestErrorPaths:
         assert code == EXIT_PARSE
         assert ("line 11: binary column 12 (logged_in) must be 0 or 1, "
                 "got 'x'") in capsys.readouterr().err
+
+    # Fields that neither command's table keeps: E2 reads the first ten
+    # default signal attributes, E1 those and the coded nominals.
+    @pytest.mark.parametrize("field,raw,message", [
+        ("duration", "1_0",
+         "non-numeric value '1_0' in continuous column 1 (duration)"),
+        ("duration", "-1", "continuous column 1 (duration) must be finite "
+         "and non-negative, got '-1'"),
+        ("land", "0.0", "binary column 7 (land) must be 0 or 1, got '0.0'"),
+    ], ids=["underscore", "negative", "binary"])
+    @pytest.mark.parametrize("command", ["e2", "e1.1"])
+    def test_malformed_field_in_a_column_not_kept(self, tmp_path, capsys,
+                                                  command, field, raw,
+                                                  message):
+        path = tmp_path / "data.kdd"
+        path.write_text("\n".join([normal_line()] * 10
+                                  + [make_line(**{field: raw})]) + "\n")
+        with pytest.raises(ParseError) as full_read:
+            read_kdd_file(path)
+        assert str(full_read.value) == f"line 11: {message}"
+        code = main([command, str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_PARSE
+        assert (f"parse error: line 11: {message}\n"
+                in capsys.readouterr().err)
 
     def test_infogain_on_empty_file(self, tmp_path):
         path = tmp_path / "data.kdd"
@@ -974,7 +1018,8 @@ class TestReports:
                            mann_whitney_two_sided([math.nan], [0.5]))
         config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path,
                                   seeds=(1,))
-        emit_report([base, point], config, tmp_path, records=1, workers=1)
+        emit_report([base, point], config, tmp_path, records=1,
+                    data_sha256="0" * 64, workers=1)
         assert read_rows(tmp_path / "mannwhitney.tsv") == [{
             "category": "E1.2", "parameter": "5", "u_statistic": "NA",
             "p_value": "NA", "reject": "false",

@@ -1,18 +1,24 @@
+import contextlib
 import gzip
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dca_ids.cli import EXIT_PARSE, main
+import parse_reference as ref
+from dca_ids import cli, experiments
+from dca_ids.cli import EXIT_OK, EXIT_PARSE, main
 from dca_ids.dataset import (
     ANOMALOUS,
     ATTRIBUTE_NAMES,
     BINARY_ATTRIBUTES,
     CODED_ATTRIBUTES,
     NORMAL,
+    _INDEX,
     _number,
+    attribute_matrix,
     binarize_label,
     kfold_split,
     minmax_apply,
@@ -20,10 +26,12 @@ from dca_ids.dataset import (
     read_kdd_file,
 )
 from dca_ids.errors import ConfigurationError, ParseError
+from dca_ids.signals import DEFAULT_SIGNAL_ATTRIBUTES
 
 from conftest import (make_line, needs_dev_fd, one_record, parse_lines,
                       pipe_path)
 from test_golden_reports import golden_lines
+from test_records_equivalence import random_lines
 
 
 def nominal(table, name, row=0):
@@ -151,6 +159,92 @@ class TestParse:
         assert one_record().values.shape == (1, 41)
 
 
+class TestColumns:
+    NAMES = ("count", "service", "logged_in", "duration", "flag")
+
+    def test_subset_keeps_the_named_columns_in_their_order(self):
+        lines = random_lines(300, 1)
+        full = parse_lines(lines)
+        subset = parse_lines(lines, self.NAMES)
+        assert subset.attributes == self.NAMES
+        assert subset.values.shape == (300, len(self.NAMES))
+        for name in self.NAMES:
+            assert subset.column(name).tobytes() == (
+                full.column(name).tobytes())
+        assert subset.anomalous.tobytes() == full.anomalous.tobytes()
+        # Every vocabulary is kept, its column or not.
+        assert subset.vocabularies == full.vocabularies
+
+    def test_matrix_of_the_table_columns_is_the_table_array(self):
+        subset = parse_lines(random_lines(30, 2), self.NAMES)
+        assert attribute_matrix(subset, self.NAMES) is subset.values
+        assert np.array_equal(attribute_matrix(subset, ["flag", "count"]),
+                              subset.values[:, [4, 0]])
+
+    def test_column_not_kept(self):
+        subset = parse_lines([make_line()], self.NAMES)
+        with pytest.raises(KeyError, match="'src_bytes' is not a column"):
+            subset.column("src_bytes")
+
+
+# A range file naming its attributes out of schema order.
+RANGES = ("src_bytes DS 10 1000 +\nland PAMP 0 1 -\n"
+          "serror_rate PAMP 0.1 0.6 +\nduration SS 0.5 3 +\n"
+          "logged_in SS 0 1 +\n")
+
+# Each command's argv after the data path, and the columns its table keeps,
+# in order.
+COMMAND_COLUMNS = {
+    "e1-default": (["e1.1", "--seeds", "1"],
+                   DEFAULT_SIGNAL_ATTRIBUTES + CODED_ATTRIBUTES),
+    "e1-ranges": (["e1.1", "--seeds", "1", "--ranges", "RANGES"],
+                  ("src_bytes", "land", "serror_rate", "duration",
+                   "logged_in") + CODED_ATTRIBUTES),
+    "e2-dimensions": (["e2", "--seeds", "1", "--dimensions", "2,4",
+                       "--folds", "2", "--detectors", "10"],
+                      DEFAULT_SIGNAL_ATTRIBUTES[:4]),
+    "infogain": (["infogain"], ATTRIBUTE_NAMES),
+}
+
+
+@pytest.mark.parametrize("source", ["plain", "gzip",
+                                    pytest.param("pipe", marks=needs_dev_fd)])
+@pytest.mark.parametrize("case", sorted(COMMAND_COLUMNS))
+def test_each_command_keeps_its_columns_bit_identical(tmp_path, monkeypatch,
+                                                      case, source):
+    """The table a command reads holds its columns, each bit-identical to
+    the reference parser's, whatever the input is."""
+    argv, columns = COMMAND_COLUMNS[case]
+    body = "".join(f"{line}\n" for line in random_lines(2500, 3)).encode()
+    path = tmp_path / "data.kdd"
+    path.write_bytes(body)
+    want = ref.read_kdd_file(path)
+    data = gzip.compress(body) if source == "gzip" else body
+    path.write_bytes(data)
+    ranges = tmp_path / "ranges.txt"
+    ranges.write_text(RANGES)
+    tables = []
+
+    def recording_read(*args):
+        tables.append(read_kdd_file(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "read_kdd_file", recording_read)
+    monkeypatch.setattr(experiments, "read_kdd_file", recording_read)
+    with (pipe_path(data) if source == "pipe"
+          else contextlib.nullcontext(str(path))) as data_path:
+        assert main([argv[0], data_path,
+                     *[str(ranges) if a == "RANGES" else a for a in argv[1:]],
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+    [table] = tables
+    assert table.attributes == columns
+    for name in columns:
+        assert table.column(name).tobytes() == (
+            want.values[:, _INDEX[name]].tobytes()), name
+    assert table.anomalous.tobytes() == want.anomalous.tobytes()
+    assert table.vocabularies == want.vocabularies
+
+
 class TestBinarizeLabel:
     def test_normal(self):
         assert binarize_label("normal") == NORMAL
@@ -204,7 +298,7 @@ class TestKfold:
 class TestMinMax:
     @staticmethod
     def normalize(train, test):
-        lo, hi = minmax_fit(train)
+        lo, hi = minmax_fit(train, np.ones(len(train), dtype=bool))
         return minmax_apply(train, lo, hi), minmax_apply(test, lo, hi)
 
     def test_simple_range(self):
@@ -237,13 +331,28 @@ class TestMinMax:
         train = np.array([[3.0, 0.0, 0.1, -7.0], [3.0, 5e-324, 0.7, 2.5]])
         test = np.array([[3.0, 1.0, 0.3, -9.0], [2.0, 0.0, 0.7, 1e-3],
                          [4.0, 5e-324, 0.6999999, 3.0]])
-        lo, hi = minmax_fit(train)
+        lo, hi = minmax_fit(train, np.ones(len(train), dtype=bool))
         span = hi - lo
         with np.errstate(all="ignore"):
             expected = np.clip(np.where(
                 span > 0, (test - lo) / np.where(span > 0, span, 1.0), 0.0),
                 0.0, 1.0)
         assert minmax_apply(test, lo, hi).tobytes() == expected.tobytes()
+
+    def test_masked_fit_is_the_fit_of_the_marked_rows(self):
+        rng = np.random.default_rng(3)
+        values = rng.lognormal(size=(500, 6))
+        values[:, 2] = 7.0
+        rows = rng.random(500) < 0.9
+        lo, hi = minmax_fit(values, rows)
+        assert lo.tobytes() == values[rows].min(axis=0).tobytes()
+        assert hi.tobytes() == values[rows].max(axis=0).tobytes()
+
+    def test_empty_training_split(self):
+        with pytest.raises(ConfigurationError, match="empty data"):
+            minmax_fit(np.ones((4, 2)), np.zeros(4, dtype=bool))
+        with pytest.raises(ConfigurationError, match="empty data"):
+            minmax_fit(np.ones((0, 2)), np.zeros(0, dtype=bool))
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=20),
            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
@@ -285,6 +394,21 @@ class TestFileIo:
         assert table.values.tobytes() == expected.values.tobytes()
         assert table.anomalous.tobytes() == expected.anomalous.tobytes()
         assert table.vocabularies == expected.vocabularies
+
+    @pytest.mark.parametrize("source", ["file",
+                                        pytest.param("pipe", marks=needs_dev_fd)])
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+    def test_sha256_is_the_digest_of_the_bytes(self, tmp_path, packed,
+                                               source):
+        data = golden_stream()
+        if packed:
+            data = gzip.compress(data)
+        path = tmp_path / "data.kdd"
+        path.write_bytes(data)
+        with (pipe_path(data) if source == "pipe"
+              else contextlib.nullcontext(path)) as data_path:
+            table = read_kdd_file(data_path, ["count"])
+        assert table.sha256 == hashlib.sha256(data).hexdigest()
 
     def test_plain_file(self, tmp_path):
         path = tmp_path / "data.kdd"

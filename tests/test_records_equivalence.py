@@ -3,7 +3,9 @@
 ``records_reference`` keeps the earlier record code verbatim. Every derived
 stream must come out exactly equal (no tolerance) on the same lines: signal
 streams, antigen streams, the default signal configuration, attribute
-matrices, information gains and labels.
+matrices, information gains and labels. The streams and configuration an E1
+run derives must also come out the same from the table of only the columns
+it reads as from the full table.
 """
 import dataclasses
 
@@ -14,6 +16,7 @@ import records_reference as ref
 from dca_ids.dataset import (
     ANOMALOUS,
     ATTRIBUTE_NAMES,
+    CODED_ATTRIBUTES,
     attribute_matrix,
     binarize_label,
 )
@@ -128,38 +131,56 @@ CUSTOM_CONFIG = SignalConfig((
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def both(request):
+    """The records, the full table and, for the default and the custom
+    signal attributes, the table of the columns an E1 run reads."""
     lines = CASES[request.param]()
     records = [ref.parse_kdd_record(line, number)
                for number, line in enumerate(lines, start=1)]
-    return records, parse_lines(lines)
+    e1_tables = {
+        which: parse_lines(lines, attributes + CODED_ATTRIBUTES)
+        for which, attributes in (
+            ("default", DEFAULT_SIGNAL_ATTRIBUTES),
+            ("custom", CUSTOM_CONFIG.attribute_names))
+    }
+    return records, parse_lines(lines), e1_tables
 
 
 def test_labels(both):
-    records, table = both
+    records, table, e1_tables = both
     assert table.anomalous.tolist() == [
         binarize_label(r.label) == ANOMALOUS for r in records
     ]
+    for subset in e1_tables.values():
+        assert subset.anomalous.tobytes() == table.anomalous.tobytes()
 
 
 def test_default_signal_config(both):
-    records, table = both
+    records, table, e1_tables = both
     assert default_signal_config(table) == ref.default_signal_config(records)
+    assert default_signal_config(e1_tables["default"]) == (
+        default_signal_config(table))
 
 
 @pytest.mark.parametrize("which", ["default", "custom"])
 def test_signal_stream(both, which):
-    records, table = both
+    records, table, e1_tables = both
     config = (ref.default_signal_config(records) if which == "default"
               else CUSTOM_CONFIG)
-    assert np.array_equal(signal_stream(table, config),
-                          ref.signal_stream(records, config))
+    stream = signal_stream(table, config)
+    assert np.array_equal(stream, ref.signal_stream(records, config))
+    assert signal_stream(e1_tables[which], config).tobytes() == (
+        stream.tobytes())
 
 
 def test_antigen_stream(both):
-    records, table = both
+    records, table, e1_tables = both
     names = antigen_type_names(table)
-    assert [names[code] for code in antigen_stream(table).tolist()] == (
+    codes = antigen_stream(table)
+    assert [names[code] for code in codes.tolist()] == (
         ref.antigen_stream(records))
+    for subset in e1_tables.values():
+        assert antigen_stream(subset).tobytes() == codes.tobytes()
+        assert antigen_type_names(subset) == names
 
 
 @pytest.mark.parametrize("attributes", [
@@ -168,13 +189,13 @@ def test_antigen_stream(both):
     tuple(sorted(SCORABLE_ATTRIBUTES)),
 ])
 def test_attribute_matrix(both, attributes):
-    records, table = both
+    records, table, _ = both
     assert np.array_equal(attribute_matrix(table, attributes),
                           ref.attribute_matrix(records, attributes))
 
 
 def test_attribute_gains(both):
-    records, table = both
+    records, table, _ = both
     assert attribute_gains(table) == ref.attribute_gains(records)
 
 
@@ -182,7 +203,7 @@ def test_info_gain_on_plain_lists(both):
     # Each attribute alone: in a table where every other column is constant
     # its gain is the reference gain of its plain list of values, and every
     # other gain is 0.
-    records, table = both
+    records, table, _ = both
     labels = [binarize_label(r.label) for r in records]
     for j, name in enumerate(ATTRIBUTE_NAMES):
         values = np.zeros_like(table.values)
