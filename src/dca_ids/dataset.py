@@ -368,10 +368,6 @@ def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:
 
     Fold sizes differ by at most one. Deterministic for a given seed.
     """
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
-    if n_records < 1:
-        raise ConfigurationError("cannot split an empty record sequence")
     if k > n_records:
         raise ConfigurationError(
             f"k={k} exceeds the record count {n_records}"
@@ -389,8 +385,6 @@ def minmax_fit(values: np.ndarray,
     ``values`` that the bool mask ``rows`` marks. They are masked
     reductions, so the rows are never copied out."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0 or not rows.any():
-        raise ConfigurationError("cannot fit min-max bounds on empty data")
     where = rows[:, None]
     return (values.min(axis=0, where=where, initial=math.inf),
             values.max(axis=0, where=where, initial=-math.inf))

@@ -57,8 +57,6 @@ def confusion_from_instances(
 
 def average_rates(rates: Sequence[ConfusionRates]) -> ConfusionRates:
     """Arithmetic mean per rate; NaN markers propagate."""
-    if not rates:
-        raise ConfigurationError("cannot average an empty result sequence")
     # cumsum adds in sequence, as the recorded means were (np.sum is pairwise)
     sums = np.cumsum([r.as_tuple() for r in rates], axis=0)[-1]
     return ConfusionRates(*(sums / len(rates)).tolist())
@@ -95,17 +93,14 @@ def mann_whitney_two_sided(
 ) -> MannWhitneyResult:
     """Two-sided Mann-Whitney rank test.
 
-    An empty sample is a configuration error. NaN values (rates with no
-    defining instances) are dropped from each sample before ranking; if
-    either sample is left empty, U and p are NaN and the test does not
-    reject. Ties receive midranks. The p value is exact (full enumeration
-    of the U distribution) when the smaller sample has at most 10 elements
-    and the pooled data is tie-free; otherwise the normal approximation with
-    tie and continuity corrections is used.
+    NaN values (rates with no defining instances) are dropped from each
+    sample before ranking; if either sample is left empty, U and p are NaN
+    and the test does not reject. Ties receive midranks. The p value is
+    exact (full enumeration of the U distribution) when the smaller sample
+    has at most 10 elements and the pooled data is tie-free; otherwise the
+    normal approximation with tie and continuity corrections is used.
     Rejects iff p < ALPHA.
     """
-    if len(x) == 0 or len(y) == 0:
-        raise ConfigurationError("both samples must be non-empty")
     x = [v for v in x if not math.isnan(v)]
     y = [v for v in y if not math.isnan(v)]
     if not x or not y:

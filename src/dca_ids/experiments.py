@@ -396,8 +396,10 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
     appendix, each held run's MCAV table (types named ``names[code]``) and,
     last, provenance: one line per config field, then the worker processes
     the run used, the records it read, the sha256 of the data file's bytes,
-    and the Python, numpy and, for E2, scipy versions. The report bodies are
-    deterministic per config."""
+    and the Python, numpy and, for E2, scipy versions. An older run's
+    provenance is removed before the first report is replaced, so a write
+    that fails part-way leaves none. The report bodies are deterministic per
+    config."""
     if not points:
         raise ReportError("no results to report")
     tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
@@ -405,6 +407,7 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
               for seed, run in zip(config.seeds, p.runs)]
     if tables:  # first, so that a file in its place fails before any write
         (out_dir / "mcav").mkdir(exist_ok=True)
+    (out_dir / "provenance.txt").unlink(missing_ok=True)
 
     _write_tsv(out_dir / "results.tsv",
                ("category", "parameter", *RATE_COLUMNS),

@@ -104,8 +104,6 @@ def generate_detectors(censor: Censor, count: int, seed: int,
     per seed. A censor that covers the cube returns no detector without
     drawing, as drawing the whole budget would.
     """
-    if count < 1:
-        raise ConfigurationError(f"detector count must be >= 1, got {count}")
     if censor.covers_cube:
         return np.empty((0, censor.dimension))
     if max_attempts is None:
@@ -129,12 +127,6 @@ def classify_points(
 ) -> np.ndarray:
     """Bool mask over the points, True (anomalous) iff a point strictly
     matches at least one detector."""
-    points = np.asarray(points, dtype=float)
-    if points.shape[1] != detectors.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: points {points.shape[1]}d, "
-            f"detectors {detectors.shape[1]}d"
-        )
     from scipy.spatial import cKDTree
 
     # Unmatched points, and every point when there is no detector, come back
@@ -197,9 +189,6 @@ def run_nsa(
     """
     from .evaluation import average_rates, confusion_from_instances
 
-    if (not seeds or not dimensions or min(dimensions) < 1
-            or max(dimensions) > len(attributes)):
-        raise ConfigurationError("need a seed and dimensions in 1..attributes")
     matrix = attribute_matrix(table, attributes[:max(dimensions)])
     folds = np.asarray(folds)
     per_dimension = [[[] for _ in seeds] for _ in dimensions]

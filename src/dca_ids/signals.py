@@ -263,10 +263,6 @@ def normalize_signal(x, lower: float, upper: float):
     """Piecewise score in [0, 100] of a value or an array of values: 0 below
     the window, 100 above it, and linear (continuous at both bounds) inside
     it."""
-    if not lower < upper:
-        raise ConfigurationError(
-            f"lower bound {lower} must be below upper bound {upper}"
-        )
     # Clipping first gives exactly 0 below the window and exactly 100 above.
     return (np.clip(x, lower, upper) - lower) / (upper - lower) * 100.0
 
@@ -278,9 +274,6 @@ def signal_stream(table: KddTable, config: SignalConfig) -> np.ndarray:
     ``normalize_signal`` scores ('-' direction: 100 minus the score), summed
     in configuration order.
     """
-    # Also checked here for library callers that build a SignalConfig by
-    # hand: an empty category would otherwise give NaN scores.
-    config.check_categories()
     stream = np.empty((len(table), len(CATEGORIES)))
     for j, category in enumerate(CATEGORIES):
         ranges = config.by_category(category)
@@ -299,8 +292,6 @@ def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
     stream length means the rest of the stream; w=1 returns the stream
     itself, not a copy.
     """
-    if w < 1:
-        raise ConfigurationError(f"window size must be >= 1, got {w}")
     stream = np.asarray(stream, dtype=float)
     n = len(stream)
     w = min(w, n)

@@ -411,6 +411,20 @@ class TestE2Command:
         assert code == EXIT_CONFIG
         assert "every fold was skipped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines,message", [
+        (["", "   "], "no records"),
+        ([normal_line()], "k=10 exceeds the record count 1"),
+    ], ids=["blank-lines", "one-record"])
+    def test_too_few_records_for_the_folds(self, tmp_path, capsys, lines,
+                                           message):
+        path = tmp_path / "data.kdd"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["e2", str(path), "--out", str(out), "--seeds", "1"])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tsv"))
+
     def test_each_fold_logs_its_elapsed_seconds(self, synthetic_dataset,
                                                 tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="dca_ids.nsa")
@@ -748,6 +762,8 @@ class TestErrorPaths:
         (["e2", "--dimensions", "0,2"], "dimensions must be >= 1"),
         (["e2", "--fold-seed", "-1"], "fold seed must be >= 0"),
         (["e1.1", "--seeds", "-1"], "seeds must be >= 0"),
+        (["e1.1", "--seeds", ","], "seed list must be non-empty"),
+        (["e2", "--seeds", ","], "seed list must be non-empty"),
         (["e1.1", "--threshold-low", "nan"],
          "migration thresholds must be finite"),
         (["e1.1", "--threshold-low", "inf", "--threshold-high", "inf"],
@@ -778,7 +794,8 @@ class TestErrorPaths:
             "repeated-dimension", "repeated-multiplier", "repeated-window",
             "zero-multiplier", "zero-window", "one-fold", "zero-dimension",
             "negative-fold-seed",
-            "negative-seed", "nan-threshold", "inf-thresholds",
+            "negative-seed", "empty-e1-seeds", "empty-e2-seeds",
+            "nan-threshold", "inf-thresholds",
             "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",
             "negative-detector-radius", "inf-detector-radius",
@@ -1045,6 +1062,30 @@ class TestReports:
         assert not list(out.rglob(report))
         assert not list(out.rglob("*.tmp"))
         # provenance.txt is written last, so it says every report is there
+        assert not (out / "provenance.txt").exists()
+
+    def test_failed_rerun_leaves_no_older_provenance(
+            self, synthetic_dataset, tmp_path, monkeypatch, capsys):
+        # The rerun replaces the older run's first reports before its MCAV
+        # table write fails: an older provenance.txt would name seed 1
+        # beside a per_seed.tsv of seed 2.
+        out = tmp_path / "out"
+        assert main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(out)]) == EXIT_OK
+        replace = os.replace
+
+        def failing_replace(source, destination):
+            if Path(destination).name.startswith("mcav_"):
+                raise OSError("no space left on device")
+            replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code = main(["e1.1", str(synthetic_dataset), "--seeds", "2",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert "i/o error: cannot write" in capsys.readouterr().err
+        assert [row["seed"] for row in read_rows(out / "per_seed.tsv")] == [
+            "2"]
         assert not (out / "provenance.txt").exists()
 
     def test_failed_run_leaves_the_output_directory_as_it_was(

@@ -73,10 +73,6 @@ class TestGenerateDetectors:
                                        100, seed=1, max_attempts=10)
         assert len(detectors) == 10
 
-    def test_rejects_bad_count(self):
-        with pytest.raises(ConfigurationError):
-            generate_detectors(Censor(np.empty((0, 2)), 0.1, 0.1), 0, seed=1)
-
     @pytest.mark.parametrize("shape", [(6,), (4, 0), (2, 3, 2)])
     def test_rejects_self_points_of_another_width(self, shape):
         # the dimension is the width of a 2-d array of points
@@ -362,16 +358,6 @@ class TestRunNsa:
         assert len(skipped) == 1
         assert f"fold {folds[0]} " in skipped[0].getMessage()
         assert len(rates) == 3
-
-    @pytest.mark.parametrize("dimensions,seeds", [
-        ((), (1,)), ((0, 2), (1,)), ((2, 6), (1,)), ((2,), ()),
-    ])
-    def test_rejects_bad_dimensions_or_no_seed(self, dimensions, seeds):
-        records = self.records()
-        folds = kfold_split(len(records), 4, seed=1)
-        with pytest.raises(ConfigurationError, match="dimensions in"):
-            run_nsa(records, self.attributes(), dimensions, folds,
-                    NsaParams(), seeds)
 
     def test_all_anomalous_table_rejected(self):
         records = self.records(n_normal=0, n_anomalous=20)

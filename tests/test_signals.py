@@ -206,10 +206,6 @@ class TestNormalizeSignal:
         assert normalize_signal(10, 10, 20) == 0.0
         assert normalize_signal(20, 10, 20) == 100.0
 
-    def test_inverted_bounds(self):
-        with pytest.raises(ConfigurationError):
-            normalize_signal(5, 20, 10)
-
     @given(st.floats(-100, 100), st.floats(-100, 100))
     def test_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
@@ -266,11 +262,6 @@ class TestSignalTriple:
     def test_unscorable_name_rejected(self, name, message):
         with pytest.raises(ConfigurationError, match=message):
             AttributeRange(name, "DS", 0, 1)
-
-    def test_empty_category_rejected(self):
-        config = SignalConfig((AttributeRange("count", "DS", 0, 100),))
-        with pytest.raises(ConfigurationError):
-            signal_stream(one_record(), config)
 
     def test_components_bounded(self):
         record = one_record(count=1e6, serror_rate=1, logged_in="1")
@@ -369,10 +360,6 @@ class TestTimeWindow:
         stream = np.full((50, 3), 42.0)
         for w in (1, 2, 7, 50, 1000):
             assert apply_time_window(stream, w) == pytest.approx(stream)
-
-    def test_invalid_window(self):
-        with pytest.raises(ConfigurationError):
-            apply_time_window(np.zeros((3, 3)), 0)
 
     def test_window_past_the_stream_means_the_rest_of_it(self):
         stream = np.random.default_rng(2).random((20, 3)) * 100
