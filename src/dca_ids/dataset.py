@@ -7,7 +7,7 @@ distributed archive). Plain text and gzip files are both accepted.
 """
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import gzip
 import hashlib
 import io
@@ -95,8 +95,6 @@ _BINARY_VALUES = frozenset({"0", "1"})
 # Lines converted per chunk: large enough to amortise the array calls, small
 # enough that a chunk's field strings stay a few MB.
 _CHUNK_LINES = 2048
-# The factor the parse's output array grows by when a chunk does not fit.
-_GROWTH = 1.5
 # Bytes per read from the data file, each hashed as it is read.
 _READ_BYTES = 1 << 16
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -110,10 +108,9 @@ class KddTable:
     the named ``attributes``, all 41 in schema order unless the reader
     asked for fewer: continuous attributes as read, the binary nominals as
     0/1, and protocol_type, service and flag as codes into
-    ``vocabularies[name]``, which hold every value read whether or not its
-    column is kept. ``anomalous`` is True for every record whose label is
-    not 'normal'. ``sha256`` is the hex digest of the file's bytes as read,
-    before gunzip.
+    ``vocabularies[name]``, which exist for the kept ones only.
+    ``anomalous`` is True for every record whose label is not 'normal'.
+    ``sha256`` is the hex digest of the file's bytes as read, before gunzip.
     """
 
     values: np.ndarray
@@ -203,14 +200,16 @@ def _codes(column: list[str], vocabulary: dict[str, int]) -> np.ndarray:
                        len(column))
 
 
-def _convert(lines: list[str], first: int,
-             vocabularies: dict[str, dict[str, int]]):
+def _convert(lines: list[str], first: int, columns: Sequence[int],
+             vocabularies: dict[int, dict[str, int]]):
     """One chunk of text lines, numbered from ``first``, as (values,
-    anomalous); blank lines are skipped."""
+    anomalous); blank lines are skipped. ``values`` holds the schema
+    ``columns`` in their order, and each coded one extends its entry in
+    ``vocabularies``, keyed by column."""
     stripped = list(map(str.strip, lines))
     kept = list(filter(None, stripped))
     if not kept:
-        return np.empty((0, len(ATTRIBUTE_NAMES))), np.empty(0, dtype=bool)
+        return np.empty((0, len(columns))), np.empty(0, dtype=bool)
     # loadtxt ignores columns past the last it reads, so count them here.
     if set(map(str.count, kept, itertools.repeat(","))) != {_FIELDS - 1}:
         raise _first_error(stripped, first)
@@ -231,11 +230,11 @@ def _convert(lines: list[str], first: int,
                     for i in _BINARY_INDEX)):
         raise _first_error(stripped, first)
 
-    values = np.empty((len(kept), len(ATTRIBUTE_NAMES)))
-    values[:, _NUMERIC_INDEX] = numeric
-    for name in CODED_ATTRIBUTES:
-        values[:, _INDEX[name]] = _codes(flat[_INDEX[name]::_FIELDS],
-                                         vocabularies[name])
+    # searchsorted maps a coded column to a numeric one; codes replace it.
+    values = numeric[:, np.searchsorted(_NUMERIC_INDEX, columns)]
+    for i, column in enumerate(columns):
+        if column in vocabularies:
+            values[:, i] = _codes(flat[column::_FIELDS], vocabularies[column])
     labels = flat[_FIELDS - 1::_FIELDS]
     anomalous = {label: binarize_label(label.rstrip(".")) == ANOMALOUS
                  for label in set(labels)}
@@ -244,42 +243,35 @@ def _convert(lines: list[str], first: int,
 
 
 def _table(chunks: Iterable[tuple[int, list[str]]],
-           attributes: Sequence[str]) -> KddTable:
+           attributes: Sequence[str], sha256) -> KddTable:
     """The table of the named columns of consecutive chunks of text lines,
-    each given with the number of its first line.
+    each given with the number of its first line, and of the ``sha256``
+    hash's digest once they are read.
 
-    Each chunk's kept columns are written into one output array, grown by
-    ``_GROWTH`` in place (``ndarray.resize``, which reallocates) when a
-    chunk does not fit and cut to the rows read at the end, so the table is
-    never held twice. No view of the arrays outlives the statement that
-    makes it, so they are resized without the reference check, which a
-    profiler's reference to the method would fail."""
+    The output arrays grow in place by exactly each chunk's rows
+    (``ndarray.resize``, which reallocates), so the table is never held
+    twice and has no spare rows. No view of the arrays outlives the
+    statement that makes it, so they are resized without the reference
+    check, which a profiler's reference to the method would fail."""
     columns = [_INDEX[name] for name in attributes]
-    vocabularies: dict[str, dict[str, int]] = {
-        name: {} for name in CODED_ATTRIBUTES
-    }
+    vocabularies = {_INDEX[name]: {} for name in attributes
+                    if name in CODED_ATTRIBUTES}
     values = np.empty((0, len(columns)))
     anomalous = np.empty(0, dtype=bool)
-    size = 0
     for first, lines in chunks:
-        rows, flags = _convert(lines, first, vocabularies)
-        end = size + len(rows)
-        if end > len(values):
-            capacity = max(end, int(len(values) * _GROWTH))
-            values.resize((capacity, len(columns)), refcheck=False)
-            anomalous.resize(capacity, refcheck=False)
-        # The default mode="raise" would buffer ``out``; every index is valid.
-        np.take(rows, columns, axis=1, out=values[size:end], mode="clip")
-        anomalous[size:end] = flags
-        size = end
-    values.resize((size, len(columns)), refcheck=False)
-    anomalous.resize(size, refcheck=False)
+        rows, flags = _convert(lines, first, columns, vocabularies)
+        size = len(anomalous)
+        values.resize((size + len(rows), len(columns)), refcheck=False)
+        anomalous.resize(size + len(rows), refcheck=False)
+        values[size:] = rows
+        anomalous[size:] = flags
     return KddTable(
         values=values,
         anomalous=anomalous,
-        vocabularies={name: tuple(vocabulary)
-                      for name, vocabulary in vocabularies.items()},
+        vocabularies={ATTRIBUTE_NAMES[column]: tuple(vocabulary)
+                      for column, vocabulary in vocabularies.items()},
         attributes=tuple(attributes),
+        sha256=sha256.hexdigest(),
     )
 
 
@@ -333,7 +325,8 @@ class _Hashed(io.RawIOBase):
 def read_kdd_file(path: str | Path,
                   attributes: Sequence[str] = ATTRIBUTE_NAMES) -> KddTable:
     """Parse a plain or gzip-compressed KDD file (UTF-8), streaming it, and
-    keep the columns of ``attributes``, in that order, and the labels.
+    keep the columns of ``attributes``, in that order, the labels and the
+    vocabularies of the kept coded nominals.
 
     Lines are numbered from 1, stripped, and blank ones are skipped. Every
     line needs 42 fields, continuous fields finite, non-negative numbers in
@@ -341,8 +334,8 @@ def read_kdd_file(path: str | Path,
     ``0`` or ``1``, in every column, kept or not; the first malformed field
     raises a ParseError naming its line. Lines are converted
     ``_CHUNK_LINES`` at a time: the numeric columns by one ``np.loadtxt``
-    call, the coded nominals and labels from one split of the joined chunk,
-    so a file is never held as text in full.
+    call, the kept coded nominals and the labels from one split of the
+    joined chunk, so a file is never held as text in full.
 
     The path is opened once and parsed from its first byte, so a pipe, a
     FIFO or ``/dev/stdin`` reads as a regular file does. Every byte read is
@@ -355,12 +348,10 @@ def read_kdd_file(path: str | Path,
     with open(path, "rb", buffering=0) as raw:
         hashed = _Hashed(raw)
         handle = io.BufferedReader(hashed, _READ_BYTES)
-        if handle.peek(2)[:2] == _GZIP_MAGIC:
-            with gzip.GzipFile(fileobj=handle) as unpacked:
-                table = _table(_decoded(unpacked), attributes)
-        else:
-            table = _table(_decoded(handle), attributes)
-    return dataclasses.replace(table, sha256=hashed.sha256.hexdigest())
+        with (gzip.GzipFile(fileobj=handle)
+              if handle.peek(2)[:2] == _GZIP_MAGIC
+              else contextlib.nullcontext(handle)) as source:
+            return _table(_decoded(source), attributes, hashed.sha256)
 
 
 def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import gzip
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import parse_reference as ref
-from dca_ids import cli, experiments
+from dca_ids import cli, dataset, experiments
 from dca_ids.cli import EXIT_OK, EXIT_PARSE, main
 from dca_ids.dataset import (
     ANOMALOUS,
@@ -172,8 +173,35 @@ class TestColumns:
             assert subset.column(name).tobytes() == (
                 full.column(name).tobytes())
         assert subset.anomalous.tobytes() == full.anomalous.tobytes()
-        # Every vocabulary is kept, its column or not.
-        assert subset.vocabularies == full.vocabularies
+        # Only the kept coded columns have vocabularies.
+        assert subset.vocabularies == {name: full.vocabularies[name]
+                                       for name in ("service", "flag")}
+
+    def test_vocabularies_are_those_of_the_kept_coded_columns(self):
+        lines = random_lines(300, 1)
+        full = parse_lines(lines)
+        # E2 keeps its attributes alone; E1 adds the coded nominals.
+        assert parse_lines(lines, DEFAULT_SIGNAL_ATTRIBUTES).vocabularies == {}
+        e1 = parse_lines(lines, DEFAULT_SIGNAL_ATTRIBUTES + CODED_ATTRIBUTES)
+        assert set(e1.vocabularies) == set(CODED_ATTRIBUTES)
+        assert e1.vocabularies == full.vocabularies
+
+    @pytest.mark.parametrize("records", [7381, 11071])
+    def test_table_grows_without_slack(self, tmp_path, monkeypatch, records):
+        """With 64-line chunks, both counts lie just past a step of a 1.5x
+        growth rule, which would leave half the table again allocated."""
+        monkeypatch.setattr(dataset, "_CHUNK_LINES", 64)
+        path = tmp_path / "data.kdd"
+        path.write_text("".join(f"{make_line(count=i)}\n"
+                                for i in range(records)))
+        tracemalloc.start()
+        try:
+            table = read_kdd_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == records
+        assert peak < 1.25 * table.values.nbytes
 
     def test_matrix_of_the_table_columns_is_the_table_array(self):
         subset = parse_lines(random_lines(30, 2), self.NAMES)
@@ -242,7 +270,9 @@ def test_each_command_keeps_its_columns_bit_identical(tmp_path, monkeypatch,
         assert table.column(name).tobytes() == (
             want.values[:, _INDEX[name]].tobytes()), name
     assert table.anomalous.tobytes() == want.anomalous.tobytes()
-    assert table.vocabularies == want.vocabularies
+    assert table.vocabularies == {name: want.vocabularies[name]
+                                  for name in CODED_ATTRIBUTES
+                                  if name in columns}
 
 
 class TestBinarizeLabel:
