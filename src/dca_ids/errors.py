@@ -14,7 +14,7 @@ class ConfigurationError(DcaIdsError):
 
 
 class ReportError(DcaIdsError):
-    """Report emission failed (unwritable destination, empty results, ...)."""
+    """Report emission failed (unwritable destination, ...)."""
 
 
 class WorkerError(DcaIdsError):

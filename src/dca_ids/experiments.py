@@ -15,6 +15,7 @@ import functools
 import logging
 import math
 import os
+import shutil
 import signal
 import sys
 import time
@@ -148,8 +149,9 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     sweep points and E2's attribute list are checked before the data file
     is read. The read keeps only the columns the family uses: E1's signal
     attributes and the coded nominals its antigens are made of, or the
-    first max(dimensions) of E2's attributes. The reports are written after
-    the last run."""
+    first max(dimensions) of E2's attributes. After the last run the reports
+    are written into a stage inside the output directory, made before the
+    runs and removed on any exit, and then published by ``_publish``."""
     ranges = (None if config.range_config_path is None
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
@@ -171,20 +173,25 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     records, data_sha256, workers, names = len(table), table.sha256, 1, []
-    if config.experiment == "E2":
-        points = _run_e2(config, table, attributes)
-    else:
-        # E1 needs only its two streams: the table is freed before the runs.
-        stream = AntigenTypes.of(table)
-        signals = signal_stream(table, ranges or default_signal_config(table))
-        del table
-        workers, names = _e1_workers(len(config.seeds)), stream.names
-        points = _run_e1(config, sweep, stream, signals, workers)
-
-    emit_report(points, config, out_dir, records, data_sha256, workers,
-                names)
+    stage = out_dir / f".partial-{os.getpid()}"
+    stage.mkdir()
+    try:
+        if config.experiment == "E2":
+            points = _run_e2(config, table, attributes)
+        else:
+            # E1 needs only its two streams: free the table before the runs.
+            stream = AntigenTypes.of(table)
+            signals = signal_stream(table,
+                                    ranges or default_signal_config(table))
+            del table
+            workers, names = _e1_workers(len(config.seeds)), stream.names
+            points = _run_e1(config, sweep, stream, signals, workers)
+        emit_report(points, config, stage, records, data_sha256, workers,
+                    names)
+        _publish(stage, out_dir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return points
 
 
@@ -396,19 +403,8 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
     appendix, each held run's MCAV table (types named ``names[code]``) and,
     last, provenance: one line per config field, then the worker processes
     the run used, the records it read, the sha256 of the data file's bytes,
-    and the Python, numpy and, for E2, scipy versions. An older run's
-    provenance is removed before the first report is replaced, so a write
-    that fails part-way leaves none. The report bodies are deterministic per
-    config."""
-    if not points:
-        raise ReportError("no results to report")
-    tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
-              for p in points if config.write_mcav_tables
-              for seed, run in zip(config.seeds, p.runs)]
-    if tables:  # first, so that a file in its place fails before any write
-        (out_dir / "mcav").mkdir(exist_ok=True)
-    (out_dir / "provenance.txt").unlink(missing_ok=True)
-
+    and the Python, numpy and, for E2, scipy versions. The report bodies
+    are deterministic per config."""
     _write_tsv(out_dir / "results.tsv",
                ("category", "parameter", *RATE_COLUMNS),
                [(p.category, p.parameter, *p.mean.as_tuple()) for p in points])
@@ -432,6 +428,11 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                         t.p_value, str(t.reject).lower())
                        for p, t in tests
                    ])
+    tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
+              for p in points if config.write_mcav_tables
+              for seed, run in zip(config.seeds, p.runs)]
+    if tables:
+        (out_dir / "mcav").mkdir(exist_ok=True)
     for name, (mcav, log, anomalous) in tables:
         write_mcav_table(mcav, log, anomalous,
                          out_dir / "mcav" / name.replace("=", "_"), names)
@@ -454,6 +455,32 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
         "reference decision-tree benchmark (not computed): "
         f"tp_rate={C45_REFERENCE_TP_RATE} fp_rate={C45_REFERENCE_FP_RATE}",
     ])
+
+
+_RUN_FILES = ("provenance.txt", "results.tsv", "per_seed.tsv",
+              "roc_points.tsv", "mannwhitney.tsv")
+
+
+def _publish(stage: Path, out_dir: Path) -> None:
+    """Replace the run in ``out_dir`` with the one written in ``stage``:
+    remove every file a run writes (``provenance.txt`` first, then ``mcav/``
+    if that empties it) and leave the others, then move the staged files in,
+    ``provenance.txt`` last, so a ``provenance.txt`` means one whole run."""
+    mcav = out_dir / "mcav"
+    path = out_dir
+    try:
+        for path in [*(out_dir / name for name in _RUN_FILES),
+                     *mcav.glob("mcav_*.tsv")]:
+            path.unlink(missing_ok=True)
+        path = mcav
+        if mcav.exists() and not any(mcav.iterdir()):
+            mcav.rmdir()
+        for entry in [*stage.rglob("*.tsv"), stage / "provenance.txt"]:
+            path = out_dir / entry.relative_to(stage)
+            path.parent.mkdir(exist_ok=True)
+            os.replace(entry, path)
+    except OSError as exc:
+        raise ReportError(f"cannot write {path}: {exc}") from exc
 
 
 def _field_lines(config: object, prefix: str = "") -> Iterable[str]:

@@ -1064,14 +1064,14 @@ class TestReports:
         # provenance.txt is written last, so it says every report is there
         assert not (out / "provenance.txt").exists()
 
-    def test_failed_rerun_leaves_no_older_provenance(
+    def test_failed_rerun_leaves_the_older_run_whole(
             self, synthetic_dataset, tmp_path, monkeypatch, capsys):
-        # The rerun replaces the older run's first reports before its MCAV
-        # table write fails: an older provenance.txt would name seed 1
-        # beside a per_seed.tsv of seed 2.
+        # The rerun's MCAV table write fails after its first reports are
+        # written: they were staged, so the older run is left as it was.
         out = tmp_path / "out"
         assert main(["e1.1", str(synthetic_dataset), "--seeds", "1",
                      "--out", str(out)]) == EXIT_OK
+        before = tree(out)
         replace = os.replace
 
         def failing_replace(source, destination):
@@ -1084,9 +1084,57 @@ class TestReports:
                      "--out", str(out)])
         assert code == EXIT_IO
         assert "i/o error: cannot write" in capsys.readouterr().err
-        assert [row["seed"] for row in read_rows(out / "per_seed.tsv")] == [
-            "2"]
-        assert not (out / "provenance.txt").exists()
+        assert tree(out) == before
+
+    def test_rerun_with_fewer_seeds_leaves_only_its_mcav_tables(
+            self, synthetic_dataset, tmp_path, one_cpu):
+        out = tmp_path / "out"
+        for seeds in ("1,2", "1"):
+            assert main(["e1.2", str(synthetic_dataset), "--out", str(out),
+                         "--seeds", seeds, "--multipliers", "5"]) == EXIT_OK
+        assert sorted(path.name for path in (out / "mcav").iterdir()) == [
+            "mcav_E1.1_-_seed1.tsv", "mcav_E1.2_5_seed1.tsv"]
+
+    def test_e2_into_an_e1_directory_replaces_the_e1_run(
+            self, synthetic_dataset, tmp_path, one_cpu):
+        # Only the files a run writes are replaced: a user's file stays.
+        out = tmp_path / "out"
+        assert main(["e1.2", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1,2", "--multipliers", "5"]) == EXIT_OK
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["e2", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1", "--dimensions", "2,3"]) == EXIT_OK
+        assert sorted(path.name for path in out.iterdir()) == [
+            "notes.txt", "per_seed.tsv", "provenance.txt", "results.tsv",
+            "roc_points.tsv"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert "experiment: E2" in (
+            out / "provenance.txt").read_text().splitlines()
+
+    def test_ctrl_c_while_the_reports_are_written(
+            self, synthetic_dataset, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        before = earlier_run(synthetic_dataset, out)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "write_mcav_table", interrupted)
+        code = main(["e1.1", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1"])
+        assert code == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+        assert tree(out) == before
+
+    def test_out_dot_writes_into_the_working_directory(
+            self, synthetic_dataset, tmp_path, monkeypatch):
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["e1.1", str(synthetic_dataset), "--out", ".",
+                     "--seeds", "1"]) == EXIT_OK
+        assert sorted(str(path) for path in tree(Path("."))) == [
+            "mcav", "mcav/mcav_E1.1_-_seed1.tsv", "per_seed.tsv",
+            "provenance.txt", "results.tsv", "roc_points.tsv"]
 
     def test_failed_run_leaves_the_output_directory_as_it_was(
             self, synthetic_dataset, tmp_path, monkeypatch, capsys, one_cpu):
