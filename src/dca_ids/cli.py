@@ -50,9 +50,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_dca_params(parser: argparse.ArgumentParser) -> None:
     """The flags of the E1 families, the ones that run the DCA."""
-    parser.add_argument("--no-mcav-tables", dest="write_mcav_tables",
-                        action="store_false",
-                        help="skip per-run MCAV table files")
     parser.add_argument("--population", dest="population_size", type=int)
     parser.add_argument("--cells-per-step", type=int)
     parser.add_argument("--threshold-low", type=float)

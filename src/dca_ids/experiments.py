@@ -18,6 +18,7 @@ import os
 import shutil
 import signal
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,7 +80,6 @@ class ExperimentConfig:
     folds: int = 10
     fold_seed: int = 1
     range_config_path: Path | None = None
-    write_mcav_tables: bool = True
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -139,7 +139,7 @@ class AntigenTypes:
         counts = np.bincount(codes)
         return cls(codes, counts,
                    np.bincount(codes, weights=table.anomalous) / counts,
-                   antigen_type_names(table))
+                   antigen_type_names(table, codes))
 
 
 def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
@@ -174,8 +174,7 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, data_sha256, workers, names = len(table), table.sha256, 1, []
-    stage = out_dir / f".partial-{os.getpid()}"
-    stage.mkdir()
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
     try:
         if config.experiment == "E2":
             points = _run_e2(config, table, attributes)
@@ -429,8 +428,7 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                        for p, t in tests
                    ])
     tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
-              for p in points if config.write_mcav_tables
-              for seed, run in zip(config.seeds, p.runs)]
+              for p in points for seed, run in zip(config.seeds, p.runs)]
     if tables:
         (out_dir / "mcav").mkdir(exist_ok=True)
     for name, (mcav, log, anomalous) in tables:
@@ -463,21 +461,26 @@ _RUN_FILES = ("provenance.txt", "results.tsv", "per_seed.tsv",
 
 def _publish(stage: Path, out_dir: Path) -> None:
     """Replace the run in ``out_dir`` with the one written in ``stage``:
-    remove every file a run writes (``provenance.txt`` first, then ``mcav/``
-    if that empties it) and leave the others, then move the staged files in,
-    ``provenance.txt`` last, so a ``provenance.txt`` means one whole run."""
+    make ``mcav/`` if the stage has one, so anything else named ``mcav``
+    fails before a file is removed; remove every file a run writes
+    (``provenance.txt`` first, then a ``mcav/`` directory that this empties
+    and the stage does not need) and leave the others; then move the staged
+    files in, ``provenance.txt`` last, so a ``provenance.txt`` means one
+    whole run."""
     mcav = out_dir / "mcav"
-    path = out_dir
+    staged = (stage / "mcav").is_dir()
+    path = mcav
     try:
-        for path in [*(out_dir / name for name in _RUN_FILES),
-                     *mcav.glob("mcav_*.tsv")]:
+        if staged:
+            mcav.mkdir(exist_ok=True)
+        tables = list(mcav.glob("mcav_*.tsv")) if mcav.is_dir() else []
+        for path in [*(out_dir / name for name in _RUN_FILES), *tables]:
             path.unlink(missing_ok=True)
         path = mcav
-        if mcav.exists() and not any(mcav.iterdir()):
+        if not staged and mcav.is_dir() and not any(mcav.iterdir()):
             mcav.rmdir()
         for entry in [*stage.rglob("*.tsv"), stage / "provenance.txt"]:
             path = out_dir / entry.relative_to(stage)
-            path.parent.mkdir(exist_ok=True)
             os.replace(entry, path)
     except OSError as exc:
         raise ReportError(f"cannot write {path}: {exc}") from exc

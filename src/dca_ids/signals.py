@@ -307,31 +307,27 @@ def apply_time_window(stream: np.ndarray, w: int) -> np.ndarray:
 # Antigens
 # ---------------------------------------------------------------------------
 
-def _antigen_keys(table: KddTable) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One integer per record for its (protocol, service, flag) codes, and
-    the vocabulary sizes that decode it."""
-    sizes = tuple(max(len(table.vocabularies[name]), 1)
-                  for name in CODED_ATTRIBUTES)
-    codes = attribute_matrix(table, CODED_ATTRIBUTES).astype(np.int64)
-    return np.ravel_multi_index(codes.T, sizes), sizes
-
-
 def antigen_stream(table: KddTable) -> np.ndarray:
     """Per-record antigen type code: the rank of the record's (protocol,
     service, flag) triple among the table's distinct triples, so the codes
     run from 0 to the number of types less one. ``antigen_type_names``
     names them."""
-    keys, _ = _antigen_keys(table)
+    sizes = tuple(max(len(table.vocabularies[name]), 1)
+                  for name in CODED_ATTRIBUTES)
+    triples = attribute_matrix(table, CODED_ATTRIBUTES).astype(np.int64)
+    keys = np.ravel_multi_index(triples.T, sizes)
     return np.unique(keys, return_inverse=True)[1]
 
 
-def antigen_type_names(table: KddTable) -> list[str]:
-    """Name of each code of ``antigen_stream(table)``: the protocol, service
-    and flag values joined with ':'."""
-    keys, sizes = _antigen_keys(table)
-    triples = np.unravel_index(np.unique(keys), sizes)
-    return [
-        ":".join(table.vocabularies[name][code]
-                 for name, code in zip(CODED_ATTRIBUTES, triple))
-        for triple in zip(*(axis.tolist() for axis in triples))
-    ]
+def antigen_type_names(table: KddTable, codes: np.ndarray) -> list[str]:
+    """Name of each type code of ``codes``, the ``antigen_stream`` of
+    ``table``: the protocol, service and flag values of one of its records,
+    joined with ':'."""
+    # Which write wins at a repeated code is unspecified, and need not be
+    # known: every record of a code holds the same triple.
+    index = np.empty(codes.max(initial=-1) + 1, np.intp)
+    index[codes] = np.arange(len(codes))
+    values = [map(table.vocabularies[name].__getitem__,
+                  table.column(name)[index].astype(np.intp).tolist())
+              for name in CODED_ATTRIBUTES]
+    return list(map(":".join, zip(*values)))

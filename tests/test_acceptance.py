@@ -152,7 +152,6 @@ def test_criterion_6_determinism(kdd_path, tmp_path):
             data_path=kdd_path,
             output_dir=out,
             seeds=tuple(range(1, 11)),
-            write_mcav_tables=False,
         ))
         bodies.append(
             (out / "results.tsv").read_text()

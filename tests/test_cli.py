@@ -103,7 +103,7 @@ class TestE1Commands:
                                               tmp_path):
         out = tmp_path / "out"
         code = main(["e1.3", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", "1", "--no-mcav-tables"])
+                     "--seeds", "1"])
         assert code == EXIT_OK
         rows = read_rows(out / "results.tsv")
         assert [r["parameter"] for r in rows if r["category"] == "E1.3"] == [
@@ -144,7 +144,7 @@ class TestE1Commands:
         caplog.set_level(logging.INFO, logger="dca_ids.experiments")
         assert main(["e1.2", str(synthetic_dataset), "--out",
                      str(tmp_path / "out"), "--seeds", "1,2",
-                     "--multipliers", "5,10", "--no-mcav-tables"]) == EXIT_OK
+                     "--multipliers", "5,10"]) == EXIT_OK
         assert calls == [(1, 1), (1, 5), (1, 10), (2, 1), (2, 5), (2, 10)]
         runs = [r.getMessage() for r in caplog.records
                 if r.name == "dca_ids.experiments"]
@@ -174,7 +174,7 @@ class TestE1Commands:
         monkeypatch.setattr(experiments, "run_dca_with_log", checking_run)
         assert main(["e1.2", str(synthetic_dataset), "--out",
                      str(tmp_path / "out"), "--seeds", "1",
-                     "--multipliers", "5", "--no-mcav-tables"]) == EXIT_OK
+                     "--multipliers", "5"]) == EXIT_OK
         assert alive == [False]
 
     @pytest.mark.parametrize("command,flag", [("e1.3", "--windows"),
@@ -184,8 +184,7 @@ class TestE1Commands:
         def sweep_rates(window):
             out = tmp_path / window
             assert main([command, str(synthetic_dataset), "--out", str(out),
-                         "--seeds", "1,2", flag, window,
-                         "--no-mcav-tables"]) == EXIT_OK
+                         "--seeds", "1,2", flag, window]) == EXIT_OK
             return [[row[c] for c in RATE_COLUMNS]
                     for row in read_rows(out / "per_seed.tsv")
                     if row["category"] != "E1.1"]
@@ -362,7 +361,7 @@ class TestWorkers:
         requested = self.record_pools(monkeypatch, cpus)
         out = tmp_path / "out"
         assert main(["e1.1", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", seeds, "--no-mcav-tables"]) == EXIT_OK
+                     "--seeds", seeds]) == EXIT_OK
         assert requested == [(workers, "fork")]
         assert multiprocessing.active_children() == []
         assert f"workers: {workers}" in (
@@ -379,7 +378,7 @@ class TestWorkers:
                             lambda: methods)
         out = tmp_path / "out"
         assert main(["e1.1", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", "1,2,3", "--no-mcav-tables"]) == EXIT_OK
+                     "--seeds", "1,2,3"]) == EXIT_OK
         assert requested == []
         assert "workers: 1" in (out / "provenance.txt").read_text().splitlines()
 
@@ -448,10 +447,8 @@ class TestProvenance:
 
     def test_e1_sweep_list_is_recorded(self, synthetic_dataset, tmp_path):
         lines = self.provenance(["e1.2", str(synthetic_dataset),
-                                 "--multipliers", "5,100",
-                                 "--no-mcav-tables"], tmp_path)
+                                 "--multipliers", "5,100"], tmp_path)
         assert "multipliers: 5,100" in lines
-        assert "write_mcav_tables: False" in lines
         assert "time_window: forward mean" in lines
         assert "alpha: 0.05" in lines
 
@@ -563,7 +560,7 @@ def test_pipe_path_gives_the_file_reports(tmp_path, command):
 
 
 COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "-v", "--verbose"]
-DCA_OPTIONS = ["--no-mcav-tables", "--population", "--cells-per-step",
+DCA_OPTIONS = ["--population", "--cells-per-step",
                "--threshold-low", "--threshold-high", "--mcav-threshold"]
 NSA_OPTIONS = ["--self-radius", "--detector-radius", "--detectors",
                "--max-attempts", "--folds", "--fold-seed"]
@@ -588,7 +585,6 @@ FLAG_FIELDS = {
     "--out": ("out", "output_dir", Path("out")),
     "--seeds": ("3,4", "seeds", (3, 4)),
     "--ranges": ("r.conf", "range_config_path", Path("r.conf")),
-    "--no-mcav-tables": (None, "write_mcav_tables", False),
     "--population": ("50", "dca.population_size", 50),
     "--cells-per-step": ("5", "dca.cells_per_step", 5),
     "--threshold-low": ("50.5", "dca.threshold_low", 50.5),
@@ -814,12 +810,15 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
 
     def test_e2_has_no_mcav_table_flag(self, tmp_path, capsys):
-        # E2 writes no MCAV table, so the flag that skips them is E1's.
-        with pytest.raises(SystemExit) as info:
-            main(["e2", str(tmp_path / "absent.kdd"), "--no-mcav-tables"])
-        assert info.value.code == EXIT_CONFIG
-        assert ("unrecognized arguments: --no-mcav-tables"
-                in capsys.readouterr().err)
+        # Every E1 run writes its MCAV tables and E2 writes none: no command
+        # has a flag that skips them.
+        for command in EXPERIMENT_IDS:
+            with pytest.raises(SystemExit) as info:
+                main([command, str(tmp_path / "absent.kdd"),
+                      "--no-mcav-tables"])
+            assert info.value.code == EXIT_CONFIG
+            assert ("unrecognized arguments: --no-mcav-tables"
+                    in capsys.readouterr().err)
 
     def test_integer_list_that_does_not_parse(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -1157,14 +1156,12 @@ class TestReports:
         assert "input/output error" in capsys.readouterr().err
         assert tree(out) == before
 
-    @pytest.mark.parametrize("flags,tables", [
-        ([], ["mcav_E1.1_-_seed1.tsv", "mcav_E1.1_-_seed2.tsv",
-              "mcav_E1.2_5_seed1.tsv", "mcav_E1.2_5_seed2.tsv"]),
-        (["--no-mcav-tables"], []),
-    ], ids=["tables", "no-tables"])
+    @pytest.mark.parametrize("tables", [
+        ["mcav_E1.1_-_seed1.tsv", "mcav_E1.1_-_seed2.tsv",
+         "mcav_E1.2_5_seed1.tsv", "mcav_E1.2_5_seed2.tsv"],
+    ], ids=["tables"])
     def test_one_write_mcav_table_call_per_seed_and_point(
-            self, synthetic_dataset, tmp_path, monkeypatch, one_cpu, flags,
-            tables):
+            self, synthetic_dataset, tmp_path, monkeypatch, one_cpu, tables):
         # Each MCAV table is one call of write_mcav_table, the function the
         # benchmark times as a span of its own.
         written = []
@@ -1177,8 +1174,7 @@ class TestReports:
         monkeypatch.setattr(experiments, "write_mcav_table", recording_write)
         out = tmp_path / "out"
         assert main(["e1.2", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", "1,2", "--multipliers", "5",
-                     *flags]) == EXIT_OK
+                     "--seeds", "1,2", "--multipliers", "5"]) == EXIT_OK
         assert sorted(written) == tables
         assert sorted(path.name for path in out.rglob("mcav_*")) == tables
 
@@ -1202,6 +1198,49 @@ class TestReports:
                      "--out", str(out)])
         assert code == EXIT_IO
         assert tree(out) == before
+
+    @staticmethod
+    def e2_run(data, out):
+        assert main(["e2", str(data), "--seeds", "1", "--dimensions", "2,3",
+                     "--out", str(out)]) == EXIT_OK
+
+    def test_e2_rerun_keeps_a_file_named_mcav(self, synthetic_dataset,
+                                              tmp_path):
+        # E2 writes no MCAV table, so a file named mcav is not the run's.
+        out = tmp_path / "out"
+        self.e2_run(synthetic_dataset, out)
+        (out / "mcav").write_text("the user's\n")
+        before = tree(out)
+        (out / "results.tsv").write_text("stale\n")
+        self.e2_run(synthetic_dataset, out)
+        assert tree(out) == before
+
+    def test_e1_rerun_beside_a_file_named_mcav_keeps_the_older_run(
+            self, synthetic_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.e2_run(synthetic_dataset, out)
+        (out / "mcav").write_text("the user's\n")
+        before = tree(out)
+        code = main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert f"cannot write {out / 'mcav'}" in capsys.readouterr().err
+        assert tree(out) == before
+
+    def test_a_leftover_stage_does_not_block_a_run(self, synthetic_dataset,
+                                                   tmp_path):
+        # An older run killed before its cleanup, in a process that had
+        # this one's pid, as it does in a container that runs one command.
+        out = tmp_path / "out"
+        leftover = out / f".partial-{os.getpid()}"
+        leftover.mkdir(parents=True)
+        (leftover / "results.tsv").write_text("stale\n")
+        assert main(["e1.1", str(synthetic_dataset), "--seeds", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert (leftover / "results.tsv").read_text() == "stale\n"
+        assert sorted(path.name for path in out.iterdir()) == [
+            leftover.name, "mcav", "per_seed.tsv", "provenance.txt",
+            "results.tsv", "roc_points.tsv"]
 
     def test_mcav_class_column_is_the_mask_the_run_is_scored_with(
             self, tmp_path):

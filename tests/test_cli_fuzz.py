@@ -154,8 +154,6 @@ def experiment_flags(draw, command):
         groups = DCA_FLAGS + groups
     for group in groups:
         argv += draw(group)
-    if command != "e2" and draw(st.booleans()):
-        argv.append("--no-mcav-tables")
     return argv
 
 

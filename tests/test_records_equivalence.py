@@ -174,13 +174,13 @@ def test_signal_stream(both, which):
 
 def test_antigen_stream(both):
     records, table, e1_tables = both
-    names = antigen_type_names(table)
     codes = antigen_stream(table)
+    names = antigen_type_names(table, codes)
     assert [names[code] for code in codes.tolist()] == (
         ref.antigen_stream(records))
     for subset in e1_tables.values():
         assert antigen_stream(subset).tobytes() == codes.tobytes()
-        assert antigen_type_names(subset) == names
+        assert antigen_type_names(subset, codes) == names
 
 
 @pytest.mark.parametrize("attributes", [

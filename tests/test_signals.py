@@ -379,8 +379,9 @@ class TestTimeWindow:
 
 
 def antigen_names(table):
-    names = antigen_type_names(table)
-    return [names[code] for code in antigen_stream(table).tolist()]
+    codes = antigen_stream(table)
+    names = antigen_type_names(table, codes)
+    return [names[code] for code in codes.tolist()]
 
 
 class TestAntigens:
