@@ -36,6 +36,23 @@ def _grid_size(count: int, dimension: int) -> int:
     return cells_per_axis
 
 
+def _kdtree(points: np.ndarray):
+    """The one kd-tree builder: sliding-midpoint splits, no node compaction.
+    It answers every bounded query as the default tree does, with the
+    smallest of the same per-pair distances, and builds faster."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
+def _within(tree, points: np.ndarray, radius: float) -> np.ndarray:
+    """Bool mask over the points: True where a point of ``tree`` lies
+    strictly closer than ``radius``. A miss comes back from the bounded
+    query as inf, which fails the test as its true distance would."""
+    distances, _ = tree.query(points, k=1, distance_upper_bound=radius)
+    return distances < radius
+
+
 def _covered_cells(tree, cells_per_axis: int, dimension: int,
                    margin: float) -> np.ndarray:
     """Bool array of shape ``(cells_per_axis,) * dimension`` marking the
@@ -50,8 +67,7 @@ def _covered_cells(tree, cells_per_axis: int, dimension: int,
     shape = (cells_per_axis,) * dimension
     centres = ((np.indices(shape).reshape(dimension, -1).T + 0.5)
                / cells_per_axis)
-    distances, _ = tree.query(centres, k=1, distance_upper_bound=margin)
-    return (distances < margin).reshape(shape)
+    return _within(tree, centres, margin).reshape(shape)
 
 
 class Censor:
@@ -73,30 +89,19 @@ class Censor:
         if self_points.ndim != 2 or self_points.shape[1] < 1:
             raise ValueError("self points must have shape (n, d), d >= 1, "
                              f"got {self_points.shape}")
-        from scipy.spatial import cKDTree
-
         self.dimension = d = self_points.shape[1]
         self.radius = self_radius + detector_radius
-        self.tree = cKDTree(self_points)
+        self.tree = _kdtree(self_points)
         g = _grid_size(_BATCH, d)
         margin = self.radius - math.sqrt(d) / (2 * g) - 1e-9
         self.covers_cube = bool(
             margin > 0 and _covered_cells(self.tree, g, d, margin).all())
 
-    def admits(self, candidates: np.ndarray) -> np.ndarray:
-        """Bool mask over the candidates, in draw order: True where no self
-        point lies within the censor radius."""
-        # Self points beyond the censor radius come back as inf, which
-        # passes the test below exactly as their true distance would.
-        distances, _ = self.tree.query(candidates, k=1,
-                                       distance_upper_bound=self.radius)
-        return distances >= self.radius
-
 
 def generate_detectors(censor: Censor, count: int, seed: int,
                        max_attempts: int | None = None) -> np.ndarray:
-    """Draw detector centres uniformly in [0,1]^d, keeping those the censor
-    admits.
+    """Draw detector centres uniformly in [0,1]^d, keeping those with no
+    self point closer than the censor radius.
 
     Stops at ``count`` detectors or when the attempt budget (default
     100 x count) runs out, returning fewer. Candidates are drawn in batches
@@ -115,7 +120,8 @@ def generate_detectors(censor: Censor, count: int, seed: int,
         size = min(_BATCH, max_attempts - attempts)
         candidates = rng.random((size, censor.dimension))
         attempts += size
-        accepted.append(candidates[censor.admits(candidates)][:count - found])
+        admitted = ~_within(censor.tree, candidates, censor.radius)
+        accepted.append(candidates[admitted][:count - found])
         found += len(accepted[-1])
     return np.concatenate(accepted)
 
@@ -127,14 +133,7 @@ def classify_points(
 ) -> np.ndarray:
     """Bool mask over the points, True (anomalous) iff a point strictly
     matches at least one detector."""
-    from scipy.spatial import cKDTree
-
-    # Unmatched points, and every point when there is no detector, come back
-    # as inf, which fails the strict test below.
-    distances, _ = cKDTree(detectors).query(
-        points, k=1, distance_upper_bound=detector_radius
-    )
-    return distances < detector_radius
+    return _within(_kdtree(detectors), points, detector_radius)
 
 
 @dataclass

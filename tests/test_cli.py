@@ -1005,6 +1005,27 @@ class TestImport:
         assert result.stdout.strip() == "[]"
         assert (tmp_path / "e12" / "mannwhitney.tsv").exists()
 
+    def test_e2_loads_the_kd_tree_but_not_scipy_stats(
+        self, synthetic_dataset, tmp_path
+    ):
+        # E2 is the one family that loads scipy, for its kd-trees; it must
+        # not pay the second of importing scipy.stats, which the
+        # hand-written Mann-Whitney test exists to avoid.
+        src = Path(dca_ids.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = (
+            "import sys; from dca_ids.cli import main; "
+            f"assert main(['e2', {str(synthetic_dataset)!r}, '--out', "
+            f"{str(tmp_path / 'e2')!r}, '--seeds', '1,2', "
+            "'--dimensions', '2,3', '--detectors', '50']) == 0; "
+            "print('scipy.spatial' in sys.modules, "
+            "'scipy.stats' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "True False"
+        assert (tmp_path / "e2" / "results.tsv").exists()
+
     def test_cli_and_a_one_seed_e1_run_leave_the_pool_unloaded(
             self, synthetic_dataset, tmp_path):
         # One worker runs in this process: starting the CLI and a one-seed

@@ -170,6 +170,30 @@ class TestCoveredCells:
         assert queried == []
 
 
+class TestKdtree:
+    @pytest.mark.parametrize("dimension", range(1, 11))
+    def test_build_choice_changes_no_answer(self, dimension):
+        # Random points; points on a grid of step 1/8, so duplicates abound;
+        # and queries a quarter from a grid point along one axis, exactly
+        # the radius 0.25 away from it.
+        rng = np.random.default_rng(dimension)
+        random = rng.random((300, dimension))
+        snapped = np.round(rng.random((300, dimension)) * 8) / 8
+        axis = np.eye(dimension)[rng.integers(dimension, size=300)]
+        at_radius = snapped + axis * rng.choice([-0.25, 0.25], size=(300, 1))
+        queries = np.concatenate([rng.random((300, dimension)), snapped,
+                                  at_radius])
+        answers = []
+        for points, radius in itertools.product((random, snapped),
+                                                (0.1, 0.125, 0.25)):
+            built = nsa._within(nsa._kdtree(points), queries, radius)
+            default = nsa._within(scipy.spatial.cKDTree(points), queries,
+                                  radius)
+            assert (built == default).all(), radius
+            answers.append(built)
+        assert np.any(answers) and not np.all(answers)
+
+
 class TestClassify:
     def test_empty_detector_set_is_all_normal(self):
         points = np.random.default_rng(0).random((10, 3))
