@@ -3,18 +3,20 @@ scoring.
 
 A run streams (antigen, signal-triple) pairs through a fixed-size cell
 population. Each step a random subset of cells samples the current signal and
-receives the step's antigen copies; cells whose cumulative costimulation
-crosses their migration threshold present their stored antigens with a
-mature/semi-mature context and are replaced by naive cells. After the stream,
+receives the step's antigen copies, dealt round-robin; a cell whose cumulative
+costimulation strictly exceeds its migration threshold presents its copies,
+mature iff semi <= mat, and is replaced by a naive cell. After the stream,
 surviving cells are flushed so no sampled antigen is lost. The per-type
 fraction of mature presentations is the MCAV score.
 
-A cell's state is only its three cumulative signal sums and its threshold, so
-the population is held as flat lists indexed by cell slot. Each sampling life
-of a slot gets a lifetime id; a step records which lifetimes received its
-antigen copies, and a lifetime's context, one byte per id, is fixed when it
-migrates or is flushed. Antigens are never copied: the per-type tallies come
-from one integer count per holder column at the end of the run.
+A run has two halves. ``_dynamics`` owns the population and the random draw
+contract, and never sees the antigens: a cell's state is only its three signal
+sums and its threshold, held as flat lists by cell slot, and each sampling
+life of a slot gets a lifetime id. It returns which lifetimes received each
+step's copies and each lifetime's context. ``_tally`` owns the copy weights
+and draws nothing: one integer ``bincount`` per holder column. The tests pin
+two regimes that need no draw exactly: R1, where every cell migrates at its
+first sample, and R2, where every cell samples every step under one threshold.
 """
 from __future__ import annotations
 
@@ -93,23 +95,30 @@ class DcaConfig:
             raise ConfigurationError("mcav_threshold must lie in [0,1]")
 
 
-def run_dca_with_log(
-    antigens: Sequence[int],
-    signals: np.ndarray,
-    config: DcaConfig,
-    seed: int,
-) -> tuple[np.ndarray, PresentationLog]:
+def run_dca_with_log(antigens: Sequence[int], signals: np.ndarray,
+                     config: DcaConfig,
+                     seed: int) -> tuple[np.ndarray, PresentationLog]:
     """Full pass over a stream of antigen type codes and its raw signal
-    stream.
+    stream: the moving time window, then ``_dynamics`` and ``_tally``.
+    Returns the MCAV of each type code up to the largest in the stream
+    (mature / total presentations; NaN for a code absent from the stream)
+    and the presentation log.
+    """
+    if len(antigens) != len(signals):
+        raise ConfigurationError(
+            "antigen stream and signal stream must be index-aligned")
+    windowed = apply_time_window(signals, config.window)
+    holders, contexts = _dynamics(windowed @ DEFAULT_WEIGHTS, config, seed)
+    return _tally(np.asarray(antigens, dtype=np.int64), holders, contexts,
+                  config.multiplier, config.cells_per_step)
 
-    Applies the moving time window, then per record deals ``multiplier``
-    copies of its antigen round-robin over ``cells_per_step`` randomly
-    selected cells and adds the record's transformed signal to each of them.
-    A selected cell whose cumulative csm strictly exceeds its threshold
-    presents every copy it holds, mature iff semi <= mat, and is replaced by
-    a naive cell. Returns the MCAV of each type code up to the largest in
-    the stream (mature / total presentations; NaN for a code absent from the
-    stream) and the presentation log.
+
+def _dynamics(steps: np.ndarray, config: DcaConfig,
+              seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The population over a stream's ``(n, 3)`` output signals (csm, semi,
+    mat). Returns the lifetime ids that received each step's copies,
+    ``(n, min(multiplier, cells_per_step))`` in selection order, and each
+    lifetime's bool context.
 
     Random draw order, the contract that makes a run deterministic per seed:
     ``population_size`` initial thresholds, then per step one
@@ -119,13 +128,6 @@ def run_dca_with_log(
     ``uniform(threshold_low, threshold_high)`` per migrated cell in
     selection order.
     """
-    if len(antigens) != len(signals):
-        raise ConfigurationError(
-            "antigen stream and signal stream must be index-aligned"
-        )
-    windowed = apply_time_window(np.asarray(signals, dtype=float), config.window)
-    # One strided row per output signal, read a float at a time.
-    steps = zip(*map(memoryview, (windowed @ DEFAULT_WEIGHTS).T))
     size = config.population_size
     per_step = config.cells_per_step
     k = config.multiplier
@@ -143,11 +145,12 @@ def run_dca_with_log(
     mature = bytearray(size)  # context of each lifetime, by lifetime id
     # Each migration starts one lifetime, so every id is below this bound.
     holder_lifetimes = np.empty(
-        (len(windowed), holders),
-        dtype=np.min_scalar_type(size + len(windowed) * per_step))
+        (len(steps), holders),
+        dtype=np.min_scalar_type(size + len(steps) * per_step))
     order = np.arange(k)
-
-    for t, (d_csm, d_semi, d_mat) in enumerate(steps):
+    # One strided row per output signal, read a float at a time.
+    rows = zip(*map(memoryview, steps.T))
+    for t, (d_csm, d_semi, d_mat) in enumerate(rows):
         if k > 1:
             rng.shuffle(order)  # copies are identical; drawn for the stream
         selected = rng.choice(size, per_step, replace=False).tolist()
@@ -173,14 +176,21 @@ def run_dca_with_log(
     for i in range(size):
         mature[lifetime[i]] = semi[i] <= mat[i]
 
-    codes = np.asarray(antigens, dtype=np.int64)
+    return holder_lifetimes, np.frombuffer(mature, dtype=bool)
+
+
+def _tally(codes: np.ndarray, holders: np.ndarray, contexts: np.ndarray,
+           k: int, cells_per_step: int) -> tuple[np.ndarray, PresentationLog]:
+    """MCAV and presentation log of a run whose step t carries type
+    ``codes[t]`` to the lifetimes ``holders[t]`` of context ``contexts``.
+    Holder column j holds ceil((k - j) / cells_per_step) of a step's k
+    copies, so it adds that weight times one ``bincount``."""
     totals = k * np.bincount(codes)
     matures = np.zeros_like(totals)
-    contexts = np.frombuffer(mature, dtype=bool)
-    for j, column in enumerate(holder_lifetimes.T):
-        matures += ((k - j + per_step - 1) // per_step) * np.bincount(
-            codes[contexts[column]], minlength=len(totals))
+    for j, column in enumerate(holders.T):
+        weight = (k - j + cells_per_step - 1) // cells_per_step
+        matures += weight * np.bincount(codes[contexts[column]],
+                                        minlength=len(totals))
     mcav = np.divide(matures, totals, out=np.full(len(totals), np.nan),
                      where=totals > 0)
     return mcav, PresentationLog(totals, matures)
-

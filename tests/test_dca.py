@@ -9,10 +9,21 @@ from dca_ids.dca import (
     DEFAULT_WEIGHTS,
     DcaConfig,
     PresentationLog,
+    _tally,
     run_dca_with_log,
 )
 from dca_ids.errors import ConfigurationError
 from dca_ids.experiments import write_mcav_table
+from dca_ids.signals import (
+    antigen_stream,
+    apply_time_window,
+    default_signal_config,
+    signal_stream,
+)
+
+from conftest import parse_lines
+from test_golden_reports import golden_lines
+from test_parse_equivalence import kddgen_text
 
 ALL_PAMP = (100.0, 0.0, 0.0)
 ALL_SAFE = (0.0, 0.0, 100.0)
@@ -287,6 +298,107 @@ class TestRunDca:
         ]
         assert lines[1:] == [f"{name}\t50\t50\t1.000000\t{ANOMALOUS}"
                              for name in "abcd"]
+
+
+class TestTally:
+    """The copy weights on hand-built holders, with no run. Lifetime 0 is
+    semi-mature and lifetime 1 mature, so a holder is 1 where it presents
+    its copies mature."""
+
+    CODES = np.array([0, 2, 0, 3])  # code 1 never occurs
+    CONTEXTS = np.array([False, True])
+
+    def test_columns_hold_the_ceiling_of_their_round_robin_share(self):
+        # k = 25 dealt over 10 cells: the columns hold 3,3,3,3,3,2,2,2,2,2
+        holders = np.array([[1] * 10,
+                            [1] * 5 + [0] * 5,
+                            [0] * 5 + [1] * 5,
+                            [0] * 4 + [1, 1] + [0] * 4], dtype=np.uint16)
+        mcav, log = _tally(self.CODES, holders, self.CONTEXTS, 25, 10)
+        assert log.totals.tolist() == [50, 0, 25, 25]
+        assert log.matures.tolist() == [25 + 10, 0, 15, 3 + 2]
+        assert mcav[[0, 2, 3]].tolist() == [0.7, 0.6, 0.2]
+        assert math.isnan(mcav[1])
+
+    def test_one_copy_is_one_column_of_weight_one(self):
+        holders = np.array([[1], [0], [0], [1]], dtype=np.uint16)
+        mcav, log = _tally(self.CODES, holders, self.CONTEXTS, 1, 10)
+        assert log.totals.tolist() == [2, 0, 1, 1]
+        assert log.matures.tolist() == [1, 0, 0, 1]
+        assert mcav[[0, 2, 3]].tolist() == [0.5, 0.0, 1.0]
+        assert math.isnan(mcav[1])
+
+
+@pytest.fixture(scope="module", params=["kddgen-3000", "golden"])
+def stream(request):
+    """Antigen codes and raw signals of a 3,000-record ``bench/kddgen.py``
+    stream or of the golden reports' stream."""
+    lines = (kddgen_text(3_000, 1).splitlines()
+             if request.param == "kddgen-3000" else golden_lines())
+    table = parse_lines(lines)
+    return antigen_stream(table), signal_stream(table,
+                                                default_signal_config(table))
+
+
+def mature_share(codes, contexts):
+    """Each type's share of records presented in the mature context."""
+    return np.bincount(codes, weights=contexts) / np.bincount(codes)
+
+
+def segment_contexts(outputs, threshold):
+    """Each step's context when all cells share one state: the sums are
+    added in the engine's order, a segment ends where csm exceeds the
+    threshold and takes the context of its sums, and so does the tail."""
+    contexts = np.empty(len(outputs), dtype=bool)
+    csm = semi = mat = 0.0
+    start = 0
+    for t, (d_csm, d_semi, d_mat) in enumerate(outputs.tolist()):
+        csm = csm + d_csm
+        semi += d_semi
+        mat += d_mat
+        if csm > threshold:
+            contexts[start:t + 1] = semi <= mat
+            csm = semi = mat = 0.0
+            start = t + 1
+    contexts[start:] = semi <= mat
+    return contexts
+
+
+@pytest.mark.parametrize("window", [1, 10])
+@pytest.mark.parametrize("k", [1, 5, 100])
+class TestDrawFreeLimits:
+    """Two regimes where the answer needs no random draw, so the MCAV is
+    pinned exactly whatever the draw order."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_first_sample_migration_gives_the_one_sample_limit(
+            self, stream, k, window, seed):
+        # R1: csm is never negative, so a threshold of -1 migrates every
+        # selected cell at its first sample, in its record's own context.
+        codes, signals = stream
+        outputs = apply_time_window(signals, window) @ DEFAULT_WEIGHTS
+        contexts = outputs[:, 1] <= outputs[:, 2]
+        assert 0 < contexts.mean() < 1
+        config = DcaConfig(threshold_low=-1, threshold_high=-1,
+                           multiplier=k, window=window)
+        mcav, _ = run_dca_with_log(codes, signals, config, seed)
+        assert np.array_equal(mcav, mature_share(codes, contexts))
+
+    @pytest.mark.parametrize("threshold", [500, 5000])
+    def test_one_shared_state_splits_the_stream_into_segments(
+            self, stream, k, window, threshold):
+        # R2: every cell samples every step from the same start under the
+        # same threshold, so all cells hold the same sums and migrate
+        # together.
+        codes, signals = stream
+        outputs = apply_time_window(signals, window) @ DEFAULT_WEIGHTS
+        contexts = segment_contexts(outputs, threshold)
+        assert 0 < contexts.mean() < 1
+        config = DcaConfig(population_size=10, cells_per_step=10,
+                           threshold_low=threshold, threshold_high=threshold,
+                           multiplier=k, window=window)
+        mcav, _ = run_dca_with_log(codes, signals, config, seed=1)
+        assert np.array_equal(mcav, mature_share(codes, contexts))
 
 
 class TestConfigValidation:
