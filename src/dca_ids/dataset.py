@@ -8,6 +8,7 @@ distributed archive). Plain text and gzip files are both accepted.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gzip
 import hashlib
 import io
@@ -138,26 +139,13 @@ def binarize_label(label: str) -> BinaryLabel:
     return NORMAL if label == NORMAL else ANOMALOUS
 
 
-def _number(raw: str) -> float | None:
-    """``raw`` as a float under np.loadtxt's grammar, else None.
-
-    That is ``float()``'s grammar less two of its extensions: loadtxt strips
-    the same whitespace but reads only ASCII, so non-ASCII digits (``١٢``,
-    ``１``) fail, and it takes no digit-group underscores (``1_0``).
-    """
-    text = raw.strip()
-    if not text.isascii() or "_" in text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
 def _first_error(lines: Sequence[str], first: int) -> ParseError:
     """The error of the first malformed field, checking line by line and
     field by field in file order. ``lines`` are stripped and numbered from
-    ``first``; blank ones are skipped."""
+    ``first``; blank ones are skipped. Each line's numbers are read by one
+    ``np.loadtxt`` call, as ``_convert`` reads a chunk's, so both paths share
+    one grammar; a line it rejects is read again a column at a time, to name
+    the field."""
     for number, line in enumerate(lines, start=first):
         if not line:
             continue
@@ -166,8 +154,14 @@ def _first_error(lines: Sequence[str], first: int) -> ParseError:
             return ParseError(
                 f"line {number}: expected 42 fields, got {len(fields)}"
             )
-        for i, name in enumerate(ATTRIBUTE_NAMES):
-            raw = fields[i]
+        read = functools.partial(np.loadtxt, [line.replace("\r", " ")],
+                                 delimiter=",", comments=None)
+        try:
+            row = read(usecols=_NUMERIC_INDEX).tolist()
+        except ValueError:
+            row = None
+        for j, i in enumerate(_NUMERIC_INDEX):
+            name, raw = ATTRIBUTE_NAMES[i], fields[i]
             if name in BINARY_ATTRIBUTES:
                 if raw not in _BINARY_VALUES:
                     return ParseError(
@@ -175,10 +169,9 @@ def _first_error(lines: Sequence[str], first: int) -> ParseError:
                         f"must be 0 or 1, got {raw!r}"
                     )
                 continue
-            if name in NOMINAL_ATTRIBUTES:
-                continue
-            value = _number(raw)
-            if value is None:
+            try:
+                value = row[j] if row is not None else float(read(usecols=i))
+            except ValueError:
                 return ParseError(
                     f"line {number}: non-numeric value {raw!r} "
                     f"in continuous column {i + 1} ({name})"
@@ -330,9 +323,9 @@ def read_kdd_file(path: str | Path,
 
     Lines are numbered from 1, stripped, and blank ones are skipped. Every
     line needs 42 fields, continuous fields finite, non-negative numbers in
-    ``np.loadtxt``'s grammar (``_number``) and the binary nominals exactly
-    ``0`` or ``1``, in every column, kept or not; the first malformed field
-    raises a ParseError naming its line. Lines are converted
+    ``np.loadtxt``'s grammar (the error path asks it too) and the binary
+    nominals exactly ``0`` or ``1``, in every column, kept or not; the first
+    malformed field raises a ParseError naming its line. Lines are converted
     ``_CHUNK_LINES`` at a time: the numeric columns by one ``np.loadtxt``
     call, the kept coded nominals and the labels from one split of the
     joined chunk, so a file is never held as text in full.

@@ -98,15 +98,12 @@ class DcaConfig:
 def run_dca_with_log(antigens: Sequence[int], signals: np.ndarray,
                      config: DcaConfig,
                      seed: int) -> tuple[np.ndarray, PresentationLog]:
-    """Full pass over a stream of antigen type codes and its raw signal
-    stream: the moving time window, then ``_dynamics`` and ``_tally``.
-    Returns the MCAV of each type code up to the largest in the stream
-    (mature / total presentations; NaN for a code absent from the stream)
-    and the presentation log.
+    """Full pass over a stream of antigen type codes and its index-aligned
+    raw signal stream: the moving time window, then ``_dynamics`` and
+    ``_tally``. Returns the MCAV of each type code up to the largest in the
+    stream (mature / total presentations; NaN for a code absent from the
+    stream) and the presentation log.
     """
-    if len(antigens) != len(signals):
-        raise ConfigurationError(
-            "antigen stream and signal stream must be index-aligned")
     windowed = apply_time_window(signals, config.window)
     holders, contexts = _dynamics(windowed @ DEFAULT_WEIGHTS, config, seed)
     return _tally(np.asarray(antigens, dtype=np.int64), holders, contexts,

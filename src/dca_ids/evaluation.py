@@ -12,8 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class ConfusionRates:
@@ -39,13 +37,11 @@ def confusion_from_instances(
     weights: Sequence[int] | None = None,
 ) -> ConfusionRates:
     """Confusion rates of bool predictions against bool truth, True meaning
-    anomalous (the positive class). With ``weights``, entry i stands for
-    ``weights[i]`` instances, as an antigen type stands for its records."""
+    anomalous (the positive class), of one length. With ``weights``, of the
+    same length, entry i stands for ``weights[i]`` instances, as an antigen
+    type stands for its records."""
     predicted = np.asarray(predicted, dtype=bool)
     actual = np.asarray(actual, dtype=bool)
-    if predicted.shape != actual.shape or (
-            weights is not None and np.shape(weights) != actual.shape):
-        raise ConfigurationError("prediction/truth length mismatch")
     cells = np.bincount(2 * actual + predicted, weights, minlength=4)
     tn, fp, fn, tp = (int(count) for count in cells)
     tp_rate = tp / (tp + fn) if tp + fn > 0 else math.nan

@@ -71,9 +71,10 @@ def _covered_cells(tree, cells_per_axis: int, dimension: int,
 
 
 class Censor:
-    """The censoring rule of one self set, built once and shared by every
-    seed: a candidate is rejected when a self point lies closer than
-    self_radius + detector_radius, which one kd-tree query decides.
+    """The censoring rule of one self set, an (n, d) float array with
+    d >= 1, built once and shared by every seed: a candidate is rejected
+    when a self point lies closer than self_radius + detector_radius, which
+    one kd-tree query decides.
 
     ``covers_cube`` is True when every point of [0,1]^d lies strictly within
     the censor radius of a self point, so that no candidate can survive. It
@@ -85,10 +86,6 @@ class Censor:
 
     def __init__(self, self_points: np.ndarray, self_radius: float,
                  detector_radius: float):
-        self_points = np.asarray(self_points, dtype=float)
-        if self_points.ndim != 2 or self_points.shape[1] < 1:
-            raise ValueError("self points must have shape (n, d), d >= 1, "
-                             f"got {self_points.shape}")
         self.dimension = d = self_points.shape[1]
         self.radius = self_radius + detector_radius
         self.tree = _kdtree(self_points)

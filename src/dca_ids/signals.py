@@ -167,8 +167,8 @@ def load_signal_config(path: str | Path) -> SignalConfig:
     """
     config = SignalConfig(())
     # bytes.splitlines breaks lines where text-mode reading would
-    for line_number, raw in enumerate(Path(path).read_bytes().splitlines(),
-                                      start=1):
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(),
+                                 start=1):
         try:
             parts = raw.decode("utf-8").split("#", 1)[0].split()
             if not parts:
@@ -186,7 +186,7 @@ def load_signal_config(path: str | Path) -> SignalConfig:
             reason = ("not UTF-8 text" if isinstance(exc, UnicodeDecodeError)
                       else exc)
             raise ConfigurationError(
-                f"{path}:{line_number}: {reason}") from None
+                f"{path}:{number}: {reason}") from None
     if not config.ranges:
         raise ConfigurationError(f"{path}: no attribute ranges defined")
     return config
@@ -197,11 +197,8 @@ def load_signal_config(path: str | Path) -> SignalConfig:
 # ---------------------------------------------------------------------------
 
 def entropy2(p1: float, p2: float) -> float:
-    """Binary entropy in bits, with the 0 * log2(0) = 0 convention."""
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
-        raise ValueError(
-            f"proportions must be non-negative and sum to 1, got {p1}, {p2}"
-        )
+    """Binary entropy in bits of the proportions p1 and p2 = 1 - p1, with
+    the 0 * log2(0) = 0 convention."""
     total = 0.0
     for p in (p1, p2):
         if p > 0:

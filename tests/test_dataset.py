@@ -17,8 +17,9 @@ from dca_ids.dataset import (
     BINARY_ATTRIBUTES,
     CODED_ATTRIBUTES,
     NORMAL,
+    _CHUNK_LINES,
     _INDEX,
-    _number,
+    _NUMERIC_INDEX,
     attribute_matrix,
     binarize_label,
     kfold_split,
@@ -33,6 +34,13 @@ from conftest import (make_line, needs_dev_fd, one_record, parse_lines,
                       pipe_path)
 from test_golden_reports import golden_lines
 from test_records_equivalence import random_lines
+
+
+def loadtxt_field(line, column):
+    """Field ``column`` of a KDD line as np.loadtxt reads it once the
+    parse has stripped the line and blanked its carriage returns."""
+    return np.loadtxt([line.strip().replace("\r", " ")], delimiter=",",
+                      usecols=column, comments=None)
 
 
 def nominal(table, name, row=0):
@@ -99,14 +107,54 @@ class TestParse:
     @example(" \u0661")
     @example("1\r")
     def test_a_number_is_read_by_one_grammar(self, raw):
-        # The field is either rejected with a ParseError or read as the
-        # value _first_error's grammar gives it, never an AssertionError.
+        # The field is either rejected with a ParseError that agrees with
+        # np.loadtxt on the same stripped line, or read as the value it
+        # gives, never an AssertionError.
+        line = make_line(duration=raw)
         try:
-            table = parse_lines([make_line(duration=raw)])
+            table = parse_lines([line])
         except ParseError as exc:
             assert "column 1 (duration)" in str(exc)
+            if "non-numeric" in str(exc):
+                with pytest.raises(ValueError):
+                    loadtxt_field(line, 0)
+            else:
+                assert not 0 <= loadtxt_field(line, 0) < np.inf
             return
-        assert table.values[0, 0] == _number(raw)
+        assert table.values[0, 0] == loadtxt_field(line, 0)
+
+    @pytest.mark.parametrize("bad", [_CHUNK_LINES, _CHUNK_LINES + 1])
+    @pytest.mark.parametrize("field,raw,message", [
+        ("land", "2", "binary column 7 (land) must be 0 or 1, got '2'"),
+        ("src_bytes", "1_0",
+         "non-numeric value '1_0' in continuous column 5 (src_bytes)"),
+        ("count", "nan", "continuous column 23 (count) must be finite and "
+         "non-negative, got 'nan'"),
+        ("src_bytes", "-4", "continuous column 5 (src_bytes) must be finite "
+         "and non-negative, got '-4'"),
+        ("duration", "",
+         "non-numeric value '' in continuous column 1 (duration)"),
+    ])
+    def test_first_error_deep_in_a_chunk(self, monkeypatch, bad, field, raw,
+                                         message):
+        # The bad line ends the first chunk, or opens the second. The error
+        # path reads each line of the chunk before it once, and only the bad
+        # line also a column at a time.
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        lines = [make_line()] * (bad - 1) + [make_line(**{field: raw})]
+        with pytest.raises(ParseError) as exc:
+            parse_lines(lines)
+        assert str(exc.value) == f"line {bad}: {message}"
+        chunks = (bad - 1) // _CHUNK_LINES + 1  # one fast-path read each
+        before = (bad - 1) % _CHUNK_LINES
+        assert len(calls) <= chunks + before + len(_NUMERIC_INDEX)
 
     @pytest.mark.parametrize("raw", ["x", "2", "0.0", " 1"])
     def test_binary_nominal_must_be_0_or_1(self, raw):

@@ -252,10 +252,6 @@ class TestRunDca:
     def test_empty_stream(self):
         assert len(run_dca([], np.empty((0, 3)), small_config(), seed=1)) == 0
 
-    def test_misaligned_streams_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_dca([0], np.zeros((2, 3)), small_config(), seed=1)
-
     def test_traced_peak_per_step_is_bounded(self):
         # A run holds per step its three output signals and the lifetime ids
         # of its 10 copy holders, about 80 bytes, and no Python object. The

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dca_ids.errors import ConfigurationError
 from dca_ids.evaluation import (
     ALPHA,
     ConfusionRates,
@@ -101,12 +100,6 @@ class TestConfusion:
         assert confusion_from_instances(predicted, truth).tp_rate == 0.5
         assert confusion_from_instances(predicted, truth,
                                         [30, 10]).tp_rate == 0.75
-
-    def test_mismatched_universe_rejected(self):
-        with pytest.raises(ConfigurationError):
-            confusion_from_instances([False], [False, True])
-        with pytest.raises(ConfigurationError):
-            confusion_from_instances([False], [False], [1, 1])
 
     def test_instance_level(self):
         predicted = [True, False, True, False]

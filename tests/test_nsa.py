@@ -73,12 +73,6 @@ class TestGenerateDetectors:
                                        100, seed=1, max_attempts=10)
         assert len(detectors) == 10
 
-    @pytest.mark.parametrize("shape", [(6,), (4, 0), (2, 3, 2)])
-    def test_rejects_self_points_of_another_width(self, shape):
-        # the dimension is the width of a 2-d array of points
-        with pytest.raises(ValueError, match="shape"):
-            Censor(np.zeros(shape), 0.1, 0.1)
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_no_detector_matches_any_self_point(self, seed):

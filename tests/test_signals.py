@@ -56,10 +56,6 @@ class TestEntropy:
     def test_direct_evaluation(self):
         assert entropy2(0.8, 0.2) == pytest.approx(0.7219280948873623)
 
-    def test_bad_proportions(self):
-        with pytest.raises(ValueError):
-            entropy2(0.6, 0.6)
-
     @given(st.floats(0, 1))
     def test_symmetry(self, p):
         assert entropy2(p, 1 - p) == pytest.approx(entropy2(1 - p, p))
