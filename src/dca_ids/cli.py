@@ -61,7 +61,6 @@ def _add_nsa_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--self-radius", type=float)
     parser.add_argument("--detector-radius", type=float)
     parser.add_argument("--detectors", dest="detector_count", type=int)
-    parser.add_argument("--max-attempts", type=int)
     parser.add_argument("--folds", type=int)
     parser.add_argument("--fold-seed", type=int)
 

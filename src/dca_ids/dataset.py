@@ -125,10 +125,7 @@ class KddTable:
 
     def position(self, name: str) -> int:
         """The index in ``values`` of the column ``name``."""
-        try:
-            return self.attributes.index(name)
-        except ValueError:
-            raise KeyError(f"{name!r} is not a column of this table") from None
+        return self.attributes.index(name)
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.position(name)]
@@ -368,7 +365,6 @@ def minmax_fit(values: np.ndarray,
     """Per-column (min, max) bounds of the training split: the rows of
     ``values`` that the bool mask ``rows`` marks. They are masked
     reductions, so the rows are never copied out."""
-    values = np.asarray(values, dtype=float)
     where = rows[:, None]
     return (values.min(axis=0, where=where, initial=math.inf),
             values.max(axis=0, where=where, initial=-math.inf))

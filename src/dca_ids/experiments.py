@@ -397,7 +397,7 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                 out_dir: Path, records: int, data_sha256: str, workers: int,
-                names: Sequence[str] = ()) -> None:
+                names: Sequence[str]) -> None:
     """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
     appendix, each held run's MCAV table (types named ``names[code]``) and,
     last, provenance: one line per config field, then the worker processes

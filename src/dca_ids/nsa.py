@@ -25,6 +25,7 @@ DEFAULT_DETECTOR_RADIUS = 0.1
 # Candidates drawn per batch, and the most cells the covered-cube grid has,
 # so building the grid costs at most one batch of tree queries.
 _BATCH = 1024
+# Candidates drawn per detector asked for before a run gives up.
 _ATTEMPTS_PER_DETECTOR = 100
 
 
@@ -100,11 +101,11 @@ def generate_detectors(censor: Censor, count: int, seed: int,
     """Draw detector centres uniformly in [0,1]^d, keeping those with no
     self point closer than the censor radius.
 
-    Stops at ``count`` detectors or when the attempt budget (default
-    100 x count) runs out, returning fewer. Candidates are drawn in batches
-    of ``_BATCH`` and committed in draw order, so the result is deterministic
-    per seed. A censor that covers the cube returns no detector without
-    drawing, as drawing the whole budget would.
+    Stops at ``count`` detectors or after ``max_attempts`` candidates
+    (default ``_ATTEMPTS_PER_DETECTOR`` x count), returning fewer. Drawn in
+    batches of ``_BATCH`` and committed in draw order, the result is
+    deterministic per seed. A censor that covers the cube returns no
+    detector without drawing, as drawing the whole budget would.
     """
     if censor.covers_cube:
         return np.empty((0, censor.dimension))
@@ -142,7 +143,6 @@ class NsaParams:
     self_radius: float = DEFAULT_SELF_RADIUS
     detector_radius: float = DEFAULT_DETECTOR_RADIUS
     detector_count: int = 1000
-    max_attempts: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.self_radius < math.inf:
@@ -154,8 +154,6 @@ class NsaParams:
         if self.detector_count > self.MAX_DETECTORS:
             raise ConfigurationError(
                 f"detector count must be <= {self.MAX_DETECTORS}")
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ConfigurationError("max attempts must be >= 1")
 
 
 def run_nsa(
@@ -186,7 +184,6 @@ def run_nsa(
     from .evaluation import average_rates, confusion_from_instances
 
     matrix = attribute_matrix(table, attributes[:max(dimensions)])
-    folds = np.asarray(folds)
     per_dimension = [[[] for _ in seeds] for _ in dimensions]
     # (covers_cube, detector count) of each short (fold, seed) run
     short = [[] for _ in dimensions]
@@ -208,7 +205,7 @@ def run_nsa(
                             params.detector_radius)
             for per_fold, seed in zip(per_seed, seeds):
                 detectors = generate_detectors(censor, params.detector_count,
-                                               seed, params.max_attempts)
+                                               seed)
                 if len(detectors) < params.detector_count:
                     returned.append((censor.covers_cube, len(detectors)))
                 predictions = classify_points(test_points[:, :d], detectors,
@@ -218,18 +215,16 @@ def run_nsa(
                     time.perf_counter() - start)
     if not per_dimension[0][0]:
         raise ConfigurationError("every fold was skipped; no results")
-    budget = (params.max_attempts
-              or _ATTEMPTS_PER_DETECTOR * params.detector_count)
     for d, per_seed, returned in zip(dimensions, per_dimension, short):
         if returned:
             covered = sum(covers_cube for covers_cube, _ in returned)
             logger.warning(
                 "dimension %d: %d of %d (fold, seed) runs returned fewer than "
                 "%d detectors, the fewest %d: %d with a self set covering the "
-                "cube, %d exhausting %d attempts",
+                "cube, %d exhausting %d attempts per detector",
                 d, len(returned), len(per_seed) * len(per_seed[0]),
                 params.detector_count, min(n for _, n in returned), covered,
-                len(returned) - covered, budget,
+                len(returned) - covered, _ATTEMPTS_PER_DETECTOR,
             )
     return [[average_rates(per_fold) for per_fold in per_seed]
             for per_seed in per_dimension]

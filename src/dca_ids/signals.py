@@ -47,8 +47,8 @@ DEFAULT_SIGNAL_ATTRIBUTES = (
     DEFAULT_PAMP_ATTRIBUTES + DEFAULT_DS_ATTRIBUTES + DEFAULT_SS_ATTRIBUTES
 )
 
-# Fallback bounds for the count-valued attributes when no training data is
-# available to take percentiles from (raw KDD field caps).
+# Bounds of the count-valued attributes (raw KDD field caps) for a column
+# whose 5th and 95th percentiles coincide, so they bound no range.
 _FALLBACK_COUNT_BOUNDS = {
     "count": (0.0, 511.0),
     "srv_count": (0.0, 511.0),
@@ -130,21 +130,20 @@ class SignalConfig:
                     f"no attributes configured for {category}")
 
 
-def default_signal_config(table: KddTable | None = None) -> SignalConfig:
-    """Build the shipped ten-attribute configuration.
+def default_signal_config(table: KddTable) -> SignalConfig:
+    """Build the shipped ten-attribute configuration for ``table``.
 
     Rate-valued attributes use [0, 1]; count-valued attributes use the 5th
-    and 95th percentiles of ``table`` when it has records, else fixed
-    field-cap fallbacks; logged_in (binary) uses [0, 1].
+    and 95th percentiles of ``table``, or fixed field caps where those
+    coincide; logged_in (binary) uses [0, 1].
     """
     count_bounds = dict(_FALLBACK_COUNT_BOUNDS)
-    if table:
-        for name in _COUNT_ATTRIBUTES:
-            values = table.column(name)
-            lo = float(np.percentile(values, 5))
-            hi = float(np.percentile(values, 95))
-            if hi > lo:
-                count_bounds[name] = (lo, hi)
+    for name in _COUNT_ATTRIBUTES:
+        values = table.column(name)
+        lo = float(np.percentile(values, 5))
+        hi = float(np.percentile(values, 95))
+        if hi > lo:
+            count_bounds[name] = (lo, hi)
 
     ranges = []
     for category, names in (
@@ -309,8 +308,7 @@ def antigen_stream(table: KddTable) -> np.ndarray:
     service, flag) triple among the table's distinct triples, so the codes
     run from 0 to the number of types less one. ``antigen_type_names``
     names them."""
-    sizes = tuple(max(len(table.vocabularies[name]), 1)
-                  for name in CODED_ATTRIBUTES)
+    sizes = tuple(len(table.vocabularies[name]) for name in CODED_ATTRIBUTES)
     triples = attribute_matrix(table, CODED_ATTRIBUTES).astype(np.int64)
     keys = np.ravel_multi_index(triples.T, sizes)
     return np.unique(keys, return_inverse=True)[1]

@@ -456,10 +456,9 @@ class TestProvenance:
             self, synthetic_dataset, tmp_path):
         lines = self.provenance(["e2", str(synthetic_dataset),
                                  "--dimensions", "3,4", "--folds", "4",
-                                 "--detectors", "10", "--max-attempts", "50"],
-                                tmp_path)
+                                 "--detectors", "10"], tmp_path)
         assert "dimensions: 3,4" in lines
-        assert "nsa.max_attempts: 50" in lines
+        assert not any(line.startswith("nsa.max_attempts") for line in lines)
         assert "nsa.detector_count: 10" in lines
         assert "time_window: forward mean" in lines
         assert "alpha: 0.05" in lines
@@ -563,7 +562,7 @@ COMMON_OPTIONS = ["--out", "--seeds", "--ranges", "-v", "--verbose"]
 DCA_OPTIONS = ["--population", "--cells-per-step",
                "--threshold-low", "--threshold-high", "--mcav-threshold"]
 NSA_OPTIONS = ["--self-radius", "--detector-radius", "--detectors",
-               "--max-attempts", "--folds", "--fold-seed"]
+               "--folds", "--fold-seed"]
 
 # Every subcommand's option strings. Adding or dropping a flag is a
 # deliberate change of the command line and updates this table with it.
@@ -597,7 +596,6 @@ FLAG_FIELDS = {
     "--self-radius": ("0.2", "nsa.self_radius", 0.2),
     "--detector-radius": ("0.05", "nsa.detector_radius", 0.05),
     "--detectors": ("10", "nsa.detector_count", 10),
-    "--max-attempts": ("7", "nsa.max_attempts", 7),
     "--folds": ("4", "folds", 4),
     "--fold-seed": ("3", "fold_seed", 3),
     "--dimensions": ("2,3", "dimensions", (2, 3)),
@@ -775,7 +773,6 @@ class TestErrorPaths:
         (["e2", "--detector-radius", "inf"],
          "detector radius must be finite and > 0"),
         (["e2", "--detectors", "0"], "detector count must be >= 1"),
-        (["e2", "--max-attempts", "-5"], "max attempts must be >= 1"),
         (["e2", "--dimensions", "2,11"],
          "dimension 11 exceeds the 10 configured attributes"),
         (["e1.2", "--multipliers", "5,9223372036854775808"],
@@ -795,7 +792,7 @@ class TestErrorPaths:
             "overflowing-threshold-span", "inverted-thresholds",
             "nan-self-radius", "negative-self-radius",
             "negative-detector-radius", "inf-detector-radius",
-            "zero-detectors", "negative-max-attempts",
+            "zero-detectors",
             "dimension-beyond-attributes", "huge-multipliers",
             "huge-multiplier", "huge-population", "huge-detectors"])
     def test_sweep_options_checked_before_the_data_file(self, tmp_path,
@@ -1056,7 +1053,7 @@ class TestReports:
         config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path,
                                   seeds=(1,))
         emit_report([base, point], config, tmp_path, records=1,
-                    data_sha256="0" * 64, workers=1)
+                    data_sha256="0" * 64, workers=1, names=[])
         assert read_rows(tmp_path / "mannwhitney.tsv") == [{
             "category": "E1.2", "parameter": "5", "u_statistic": "NA",
             "p_value": "NA", "reject": "false",
@@ -1115,21 +1112,41 @@ class TestReports:
         assert sorted(path.name for path in (out / "mcav").iterdir()) == [
             "mcav_E1.1_-_seed1.tsv", "mcav_E1.2_5_seed1.tsv"]
 
-    def test_e2_into_an_e1_directory_replaces_the_e1_run(
-            self, synthetic_dataset, tmp_path, one_cpu):
-        # Only the files a run writes are replaced: a user's file stays.
+    # Each family's flags, with seeds no other family's run shares, so that
+    # a newer run never writes an MCAV table of an older run's name.
+    FAMILY_RUNS = {
+        "e1.1": ["--seeds", "3"],
+        "e1.2": ["--seeds", "1,2", "--multipliers", "5"],
+        "e1.3": ["--seeds", "1,2", "--windows", "3"],
+        "e2": ["--seeds", "1", "--dimensions", "2,3"],
+        "custom": ["--seeds", "4", "--multiplier", "2"],
+    }
+    FAMILY_PAIRS = [("e1.2", "e2"), ("e2", "e1.3"), ("e1.2", "e1.1"),
+                    ("e1.3", "custom"), ("custom", "e2")]
+
+    @pytest.mark.parametrize(
+        "older, newer", FAMILY_PAIRS,
+        ids=[f"{older}-then-{newer}" for older, newer in FAMILY_PAIRS])
+    def test_a_run_over_another_familys_run_equals_a_fresh_run(
+            self, synthetic_dataset, tmp_path, one_cpu, older, newer):
+        # Every file the older run wrote goes and a user's file stays, so a
+        # report file missing from ``experiments._RUN_FILES`` fails here.
+        def run(command, out):
+            assert main([command, str(synthetic_dataset), "--out", str(out),
+                         *self.FAMILY_RUNS[command]]) == EXIT_OK
+            files = tree(out)
+            provenance = files[Path("provenance.txt")].splitlines(
+                keepends=True)
+            files[Path("provenance.txt")] = b"".join(
+                line for line in provenance
+                if not line.startswith(b"output_dir: "))
+            return files
+
         out = tmp_path / "out"
-        assert main(["e1.2", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", "1,2", "--multipliers", "5"]) == EXIT_OK
+        run(older, out)
         (out / "notes.txt").write_text("kept\n")
-        assert main(["e2", str(synthetic_dataset), "--out", str(out),
-                     "--seeds", "1", "--dimensions", "2,3"]) == EXIT_OK
-        assert sorted(path.name for path in out.iterdir()) == [
-            "notes.txt", "per_seed.tsv", "provenance.txt", "results.tsv",
-            "roc_points.tsv"]
-        assert (out / "notes.txt").read_text() == "kept\n"
-        assert "experiment: E2" in (
-            out / "provenance.txt").read_text().splitlines()
+        assert run(newer, out) == {**run(newer, tmp_path / "fresh"),
+                                   Path("notes.txt"): b"kept\n"}
 
     def test_ctrl_c_while_the_reports_are_written(
             self, synthetic_dataset, tmp_path, monkeypatch, capsys):

@@ -134,7 +134,6 @@ EXTRA_FLAGS = {
                flag("window", [1, 5], [0, 2**63 - 1, 10**20])),
     "e2": (flag("self-radius", [0.1, 0, 2], [-0.1, "inf", "nan"]),
            flag("detector-radius", [0.1, 0.05], [0, "inf", "nan"]),
-           flag("max-attempts", [30, 2000, 1], [0, -1]),
            flag("fold-seed", [0, 3], [-1]),
            flag("dimensions", ["2,3", "1", "10"], ["0", "11", "3,3"])),
 }

@@ -224,8 +224,8 @@ class TestRunNsa:
     def test_no_detectors_means_all_normal(self):
         records = self.records()
         folds = kfold_split(len(records), 4, seed=1)
-        params = NsaParams(detector_count=1, max_attempts=1,
-                           self_radius=2.0, detector_radius=2.0)
+        params = NsaParams(detector_count=1, self_radius=2.0,
+                           detector_radius=2.0)
         [[mean]] = run_nsa(records, self.attributes(), [5], folds, params,
                            seeds=(1,))
         assert mean.tp_rate == 0.0
@@ -339,28 +339,30 @@ class TestRunNsa:
             for d in (4, 2, 5)
         ]
 
-    def test_budget_exhaustion_warned_once_per_dimension(self, caplog):
+    def test_budget_exhaustion_warned_once_per_dimension(self, caplog,
+                                                         monkeypatch):
         # Normal records fill the square, so at d = 2 the self set covers the
         # cube; the third attribute puts every attack at 1 and every normal
         # record at 0, which leaves room for detectors at d = 3, though not
-        # for 100 of them in 100 attempts.
+        # for 100 of them in 100 attempts (one per detector).
+        monkeypatch.setattr(nsa, "_ATTEMPTS_PER_DETECTOR", 1)
         records = parse_lines(
             [make_line(serror_rate=i / 20, srv_serror_rate=j / 20)
              for i in range(21) for j in range(21)]
             + [anomalous_line()] * 20
         )
         folds = kfold_split(len(records), 4, seed=1)
-        params = NsaParams(detector_count=100, max_attempts=100)
+        params = NsaParams(detector_count=100)
         with caplog.at_level("WARNING", logger="dca_ids.nsa"):
             run_nsa(records, ["serror_rate", "srv_serror_rate", "count"],
                     (2, 3), folds, params, seeds=(1, 2, 3))
         assert [r.getMessage() for r in caplog.records] == [
             "dimension 2: 12 of 12 (fold, seed) runs returned fewer than 100 "
             "detectors, the fewest 0: 12 with a self set covering the cube, "
-            "0 exhausting 100 attempts",
+            "0 exhausting 1 attempts per detector",
             "dimension 3: 12 of 12 (fold, seed) runs returned fewer than 100 "
             "detectors, the fewest 77: 0 with a self set covering the cube, "
-            "12 exhausting 100 attempts",
+            "12 exhausting 1 attempts per detector",
         ]
 
     def test_fold_without_normal_training_is_skipped_once(self, caplog):

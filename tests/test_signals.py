@@ -273,7 +273,7 @@ class TestSignalTriple:
 
 class TestDefaultConfig:
     def test_covers_ten_attributes(self):
-        config = default_signal_config()
+        config = default_signal_config(one_record())
         assert len(config.ranges) == 10
         assert len(config.by_category("PAMP")) == 5
         assert len(config.by_category("DS")) == 2
@@ -287,7 +287,7 @@ class TestDefaultConfig:
         assert count_range.upper == pytest.approx(95.0)
 
     def test_roundtrip_through_file(self, tmp_path):
-        config = default_signal_config()
+        config = default_signal_config(one_record())
         path = tmp_path / "ranges.conf"
         path.write_text("".join(
             f"{r.name} {r.category} {r.lower!r} {r.upper!r} {r.direction}\n"
