@@ -351,7 +351,7 @@ def kfold_split(n_records: int, k: int, seed: int) -> np.ndarray:
     """
     if k > n_records:
         raise ConfigurationError(
-            f"k={k} exceeds the record count {n_records}"
+            f"folds={k} exceeds the record count {n_records}"
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_records)

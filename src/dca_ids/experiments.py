@@ -107,14 +107,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One result row: its rates per seed (and, for E1, each seed's scored
-    run, for the MCAV tables), in the config's seed order, and their mean."""
+    """One result row: its rates per seed, in the config's seed order, and
+    their mean."""
 
     category: str
     parameter: str
     per_seed: tuple[ConfusionRates, ...]
     mann_whitney: MannWhitneyResult | None = None
-    runs: tuple[ScoredRun, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def mean(self) -> ConfusionRates:
@@ -149,9 +148,10 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
     sweep points and E2's attribute list are checked before the data file
     is read. The read keeps only the columns the family uses: E1's signal
     attributes and the coded nominals its antigens are made of, or the
-    first max(dimensions) of E2's attributes. After the last run the reports
-    are written into a stage inside the output directory, made before the
-    runs and removed on any exit, and then published by ``_publish``."""
+    first max(dimensions) of E2's attributes. Every report is written into
+    a stage inside the output directory, made before the runs and removed
+    on any exit: E1's MCAV tables as each seed's runs are scored, the other
+    reports after the last run. ``_publish`` then moves them into place."""
     ranges = (None if config.range_config_path is None
               else load_signal_config(config.range_config_path))
     attributes = (DEFAULT_SIGNAL_ATTRIBUTES if ranges is None
@@ -173,7 +173,7 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
         raise ConfigurationError(f"{config.data_path}: no records")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, data_sha256, workers, names = len(table), table.sha256, 1, []
+    records, data_sha256, workers = len(table), table.sha256, 1
     stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
     try:
         if config.experiment == "E2":
@@ -184,10 +184,9 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPoint]:
             signals = signal_stream(table,
                                     ranges or default_signal_config(table))
             del table
-            workers, names = _e1_workers(len(config.seeds)), stream.names
-            points = _run_e1(config, sweep, stream, signals, workers)
-        emit_report(points, config, stage, records, data_sha256, workers,
-                    names)
+            workers = _e1_workers(len(config.seeds))
+            points = _run_e1(config, sweep, stream, signals, workers, stage)
+        emit_report(points, config, stage, records, data_sha256, workers)
         _publish(stage, out_dir)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -234,8 +233,6 @@ def _e1_workers(seeds: int) -> int:
 
 # (mcav, presentation log, elapsed seconds) of one DCA run.
 DcaRun = tuple[np.ndarray, PresentationLog, float]
-# (mcav, presentation log, the anomalous mask it was scored with) of one run.
-ScoredRun = tuple[np.ndarray, PresentationLog, np.ndarray]
 
 
 def _seed_runs(antigens: np.ndarray, signals: np.ndarray,
@@ -296,39 +293,43 @@ def _seed_results(task: Callable[[int], list[DcaRun]], seeds: Sequence[int],
 
 
 def _run_e1(config: ExperimentConfig, points: Sequence[E1Point],
-            stream: AntigenTypes, signals: np.ndarray,
-            workers: int) -> list[SweepPoint]:
+            stream: AntigenTypes, signals: np.ndarray, workers: int,
+            stage: Path) -> list[SweepPoint]:
     """Run ``points`` (from ``_e1_points``, the base run first) and compare
     each later point's per-seed TP rates against the base's.
 
     One task per seed runs every point of that seed, on ``workers``
     processes. The runs are scored and logged here, in seed order, so the
-    results do not depend on ``workers``. Nothing is written."""
+    results do not depend on ``workers``, and each run's MCAV table is
+    written into ``stage/mcav`` as its seed's results are scored."""
     dca = config.dca
     truth = stream.anomalous_share > dca.mcav_threshold
-    per_point = [([], []) for _ in points]  # per-seed rates, scored runs
+    per_point = [[] for _ in points]  # per-seed rates
+    tables = stage / "mcav"
+    tables.mkdir()
     task = functools.partial(_seed_runs, stream.codes, signals,
                              [point_dca for *_, point_dca in points])
     with _seed_results(task, config.seeds, workers) as results:
         for seed, runs in zip(config.seeds, results):
-            for (category, parameter, _), (per_seed, scored), (
+            for (category, parameter, _), per_seed, (
                     mcav, log, elapsed) in zip(points, per_point, runs):
                 anomalous = mcav > dca.mcav_threshold
                 rates = confusion_from_instances(anomalous, truth,
                                                  stream.counts)
                 per_seed.append(rates)
-                scored.append((mcav, log, anomalous))
                 logger.info("%s %s seed=%d tp=%.4f fp=%s elapsed=%.2fs",
                             category, parameter, seed, rates.tp_rate,
                             _fmt(rates.fp_rate), elapsed)
+                name = f"mcav_{category}_{parameter}_seed{seed}.tsv"
+                write_mcav_table(mcav, log, anomalous,
+                                 tables / name.replace("=", "_"), stream.names)
 
-    base_tp = [r.tp_rate for r in per_point[0][0]]
+    base_tp = [r.tp_rate for r in per_point[0]]
     return [
         SweepPoint(category, parameter, tuple(per_seed),
                    mann_whitney_two_sided([r.tp_rate for r in per_seed],
-                                          base_tp) if i else None,
-                   tuple(scored))
-        for i, ((category, parameter, _), (per_seed, scored)) in enumerate(
+                                          base_tp) if i else None)
+        for i, ((category, parameter, _), per_seed) in enumerate(
             zip(points, per_point))
     ]
 
@@ -396,14 +397,14 @@ def write_mcav_table(mcav: np.ndarray, log: PresentationLog,
 
 
 def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
-                out_dir: Path, records: int, data_sha256: str, workers: int,
-                names: Sequence[str]) -> None:
-    """Write the results table, per-seed breakdown, ROC points, Mann-Whitney
-    appendix, each held run's MCAV table (types named ``names[code]``) and,
-    last, provenance: one line per config field, then the worker processes
-    the run used, the records it read, the sha256 of the data file's bytes,
-    and the Python, numpy and, for E2, scipy versions. The report bodies
-    are deterministic per config."""
+                out_dir: Path, records: int, data_sha256: str,
+                workers: int) -> None:
+    """Write the reports that need every run: the results table, per-seed
+    breakdown, ROC points, Mann-Whitney appendix and, last, provenance: one
+    line per config field, then the worker processes the run used, the
+    records it read, the sha256 of the data file's bytes, and the Python,
+    numpy and, for E2, scipy versions. The report bodies are deterministic
+    per config."""
     _write_tsv(out_dir / "results.tsv",
                ("category", "parameter", *RATE_COLUMNS),
                [(p.category, p.parameter, *p.mean.as_tuple()) for p in points])
@@ -427,13 +428,6 @@ def emit_report(points: Sequence[SweepPoint], config: ExperimentConfig,
                         t.p_value, str(t.reject).lower())
                        for p, t in tests
                    ])
-    tables = [(f"mcav_{p.category}_{p.parameter}_seed{seed}.tsv", run)
-              for p in points for seed, run in zip(config.seeds, p.runs)]
-    if tables:
-        (out_dir / "mcav").mkdir(exist_ok=True)
-    for name, (mcav, log, anomalous) in tables:
-        write_mcav_table(mcav, log, anomalous,
-                         out_dir / "mcav" / name.replace("=", "_"), names)
 
     # E2 is the one family that uses scipy, and has loaded it by now; E1
     # never imports it, which spares its start-up the cost.

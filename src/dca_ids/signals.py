@@ -140,8 +140,7 @@ def default_signal_config(table: KddTable) -> SignalConfig:
     count_bounds = dict(_FALLBACK_COUNT_BOUNDS)
     for name in _COUNT_ATTRIBUTES:
         values = table.column(name)
-        lo = float(np.percentile(values, 5))
-        hi = float(np.percentile(values, 95))
+        lo, hi = np.percentile(values, [5, 95]).tolist()
         if hi > lo:
             count_bounds[name] = (lo, hi)
 

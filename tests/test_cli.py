@@ -412,7 +412,7 @@ class TestE2Command:
 
     @pytest.mark.parametrize("lines,message", [
         (["", "   "], "no records"),
-        ([normal_line()], "k=10 exceeds the record count 1"),
+        ([normal_line()], "folds=10 exceeds the record count 1"),
     ], ids=["blank-lines", "one-record"])
     def test_too_few_records_for_the_folds(self, tmp_path, capsys, lines,
                                            message):
@@ -1053,7 +1053,7 @@ class TestReports:
         config = ExperimentConfig("E1.2", tmp_path / "data.kdd", tmp_path,
                                   seeds=(1,))
         emit_report([base, point], config, tmp_path, records=1,
-                    data_sha256="0" * 64, workers=1, names=[])
+                    data_sha256="0" * 64, workers=1)
         assert read_rows(tmp_path / "mannwhitney.tsv") == [{
             "category": "E1.2", "parameter": "5", "u_statistic": "NA",
             "p_value": "NA", "reject": "false",
@@ -1175,8 +1175,8 @@ class TestReports:
 
     def test_failed_run_leaves_the_output_directory_as_it_was(
             self, synthetic_dataset, tmp_path, monkeypatch, capsys, one_cpu):
-        # The last seed's run fails after the earlier seeds' runs are in;
-        # the reports are written only after every run.
+        # The last seed's run fails after the earlier seeds' runs are in
+        # and their MCAV tables staged; the stage never reaches --out.
         out = tmp_path / "out"
         before = earlier_run(synthetic_dataset, out)
         run = experiments.run_dca_with_log
@@ -1193,6 +1193,31 @@ class TestReports:
         assert code == EXIT_IO
         assert "input/output error" in capsys.readouterr().err
         assert tree(out) == before
+
+    def test_failed_mcav_table_write_stops_the_run_at_its_seed(
+            self, synthetic_dataset, tmp_path, monkeypatch, capsys, one_cpu):
+        # Each MCAV table is written as its seed's runs are scored, so the
+        # first seed's failing write ends the run before seed 2 runs.
+        out = tmp_path / "out"
+        before = earlier_run(synthetic_dataset, out)
+        seeds = []
+        run = experiments.run_dca_with_log
+
+        def recording_run(antigens, signals, config, seed):
+            seeds.append(seed)
+            return run(antigens, signals, config, seed)
+
+        def failing_write(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(experiments, "run_dca_with_log", recording_run)
+        monkeypatch.setattr(experiments, "write_mcav_table", failing_write)
+        code = main(["e1.2", str(synthetic_dataset), "--out", str(out),
+                     "--seeds", "1,2,3", "--multipliers", "5"])
+        assert code == EXIT_IO
+        assert "no space left on device" in capsys.readouterr().err
+        assert tree(out) == before
+        assert seeds == [1, 1]
 
     @pytest.mark.parametrize("tables", [
         ["mcav_E1.1_-_seed1.tsv", "mcav_E1.1_-_seed2.tsv",
