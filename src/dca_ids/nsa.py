@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -37,13 +42,37 @@ def _grid_size(count: int, dimension: int) -> int:
     return cells_per_axis
 
 
+def _kdtree_class() -> type:
+    """scipy's ``cKDTree``, loaded from its compiled module
+    ``scipy.spatial._ckdtree`` without running ``scipy/spatial/__init__``,
+    which would also load qhull, ``scipy.linalg``, ``scipy.special`` and
+    more that the NSA never uses. The module is registered in
+    ``sys.modules`` under its own name before it runs, so a later
+    ``import scipy.spatial`` reuses it and there is one class whatever the
+    import order. Where scipy's layout has no such file, the package import
+    gives the same class, only slower."""
+    import scipy
+
+    name = "scipy.spatial._ckdtree"
+    module = sys.modules.get(name)
+    if module is None:
+        finder = FileFinder(os.path.join(scipy.__path__[0], "spatial"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            from scipy.spatial import cKDTree
+            return cKDTree
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.cKDTree
+
+
 def _kdtree(points: np.ndarray):
     """The one kd-tree builder: sliding-midpoint splits, no node compaction.
     It answers every bounded query as the default tree does, with the
     smallest of the same per-pair distances, and builds faster."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+    return _kdtree_class()(points, balanced_tree=False, compact_nodes=False)
 
 
 def _within(tree, points: np.ndarray, radius: float) -> np.ndarray:

@@ -978,7 +978,6 @@ class TestImport:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
 
-
     def test_dca_runs_and_infogain_leave_scipy_unloaded(
         self, synthetic_dataset, tmp_path
     ):
@@ -1002,26 +1001,70 @@ class TestImport:
         assert result.stdout.strip() == "[]"
         assert (tmp_path / "e12" / "mannwhitney.tsv").exists()
 
+    @staticmethod
+    def e2_probe(data, out, before="", after=""):
+        """Output of a fresh interpreter that runs ``before``, a small E2
+        run of ``data`` into ``out``, then ``after``."""
+        src = Path(dca_ids.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "\n".join([
+            "import sys", "from dca_ids.cli import main", before,
+            f"assert main(['e2', {str(data)!r}, '--out', {str(out)!r}, "
+            "'--seeds', '1,2', '--dimensions', '2,3', "
+            "'--detectors', '50']) == 0", after,
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        return result.stdout.strip()
+
     def test_e2_loads_the_kd_tree_but_not_scipy_stats(
         self, synthetic_dataset, tmp_path
     ):
-        # E2 is the one family that loads scipy, for its kd-trees; it must
-        # not pay the second of importing scipy.stats, which the
-        # hand-written Mann-Whitney test exists to avoid.
-        src = Path(dca_ids.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        probe = (
-            "import sys; from dca_ids.cli import main; "
-            f"assert main(['e2', {str(synthetic_dataset)!r}, '--out', "
-            f"{str(tmp_path / 'e2')!r}, '--seeds', '1,2', "
-            "'--dimensions', '2,3', '--detectors', '50']) == 0; "
-            "print('scipy.spatial' in sys.modules, "
-            "'scipy.stats' in sys.modules)"
-        )
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "True False"
+        # E2 is the one family that loads scipy, for its kd-trees, and it
+        # loads only the compiled kd-tree module: not the scipy.spatial
+        # package, whose qhull and distance modules pull in scipy.linalg
+        # and scipy.special, nor scipy.stats, which the hand-written
+        # Mann-Whitney test exists to avoid.
+        # It loads that module once, however many trees the run builds.
+        count = ("from dca_ids import nsa; loads = []; "
+                 "load = nsa.module_from_spec; nsa.module_from_spec = "
+                 "lambda spec: loads.append(spec.name) or load(spec)")
+        names = ("scipy.spatial._ckdtree", "scipy.spatial", "scipy.linalg",
+                 "scipy.special", "scipy.stats")
+        loaded = self.e2_probe(synthetic_dataset, tmp_path / "e2", count, (
+            f"print(loads, [name in sys.modules for name in {names!r}])"))
+        assert loaded == ("['scipy.spatial._ckdtree'] "
+                          "[True, False, False, False, False]")
         assert (tmp_path / "e2" / "results.tsv").exists()
+
+    @pytest.mark.parametrize("before, after", [
+        ("import scipy.spatial", ""), ("", "import scipy.spatial"),
+    ], ids=["before", "after"])
+    def test_one_kd_tree_class_whatever_the_import_order(
+            self, synthetic_dataset, tmp_path, before, after):
+        # A caller that imports scipy.spatial before or after an E2 run
+        # gets the class the NSA builds its trees from.
+        check = ("from dca_ids import nsa; import numpy as np; "
+                 "print(type(nsa._kdtree(np.random.rand(5, 2))) "
+                 "is scipy.spatial.cKDTree)")
+        assert self.e2_probe(synthetic_dataset, tmp_path / "e2", before,
+                             f"{after}\n{check}") == "True"
+
+    def test_fallback_to_the_package_import_writes_the_same_reports(
+            self, synthetic_dataset, tmp_path):
+        # Where scipy's layout has no kd-tree extension file where the NSA
+        # looks, it imports scipy.spatial instead: the same class, so the
+        # same reports.
+        loaded = "print('scipy.spatial' in sys.modules)"
+        # with no extension suffix to try, the file lookup finds nothing
+        miss = "from dca_ids import nsa; nsa.EXTENSION_SUFFIXES = []"
+        assert self.e2_probe(synthetic_dataset, tmp_path / "extension",
+                             after=loaded) == "False"
+        assert self.e2_probe(synthetic_dataset, tmp_path / "fallback", miss,
+                             loaded) == "True"
+        for name in ("results.tsv", "per_seed.tsv", "roc_points.tsv"):
+            assert ((tmp_path / "fallback" / name).read_bytes()
+                    == (tmp_path / "extension" / name).read_bytes())
 
     def test_cli_and_a_one_seed_e1_run_leave_the_pool_unloaded(
             self, synthetic_dataset, tmp_path):
@@ -1219,14 +1262,12 @@ class TestReports:
         assert tree(out) == before
         assert seeds == [1, 1]
 
-    @pytest.mark.parametrize("tables", [
-        ["mcav_E1.1_-_seed1.tsv", "mcav_E1.1_-_seed2.tsv",
-         "mcav_E1.2_5_seed1.tsv", "mcav_E1.2_5_seed2.tsv"],
-    ], ids=["tables"])
     def test_one_write_mcav_table_call_per_seed_and_point(
-            self, synthetic_dataset, tmp_path, monkeypatch, one_cpu, tables):
+            self, synthetic_dataset, tmp_path, monkeypatch, one_cpu):
         # Each MCAV table is one call of write_mcav_table, the function the
         # benchmark times as a span of its own.
+        tables = ["mcav_E1.1_-_seed1.tsv", "mcav_E1.1_-_seed2.tsv",
+                  "mcav_E1.2_5_seed1.tsv", "mcav_E1.2_5_seed2.tsv"]
         written = []
         write = experiments.write_mcav_table
 

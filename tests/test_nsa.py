@@ -115,12 +115,12 @@ class TestCoveredCells:
     def record_query_sizes(monkeypatch):
         queried = []
 
-        class CountingTree(scipy.spatial.cKDTree):
+        class CountingTree(nsa._kdtree_class()):
             def query(self, x, *args, **kwargs):
                 queried.append(len(x))
                 return super().query(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        monkeypatch.setattr(nsa, "_kdtree_class", lambda: CountingTree)
         return queried
 
     def test_covered_square_sends_no_candidate_to_the_tree_after_the_grid(
@@ -305,12 +305,12 @@ class TestRunNsa:
                                                           seeds):
         built, grids = [], []
 
-        class RecordingTree(scipy.spatial.cKDTree):
+        class RecordingTree(nsa._kdtree_class()):
             def __init__(self, data, *args, **kwargs):
                 built.append(np.shape(data))
                 super().__init__(data, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        monkeypatch.setattr(nsa, "_kdtree_class", lambda: RecordingTree)
         # classification builds a tree over each detector set; leave it out
         monkeypatch.setattr(nsa, "classify_points",
                             lambda points, *_: np.zeros(len(points), bool))
