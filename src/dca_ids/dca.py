@@ -14,9 +14,18 @@ contract, and never sees the antigens: a cell's state is only its three signal
 sums and its threshold, held as flat lists by cell slot, and each sampling
 life of a slot gets a lifetime id. It returns which lifetimes received each
 step's copies and each lifetime's context. ``_tally`` owns the copy weights
-and draws nothing: one integer ``bincount`` per holder column. The tests pin
-two regimes that need no draw exactly: R1, where every cell migrates at its
-first sample, and R2, where every cell samples every step under one threshold.
+and draws nothing: one integer ``bincount`` per holder column.
+
+Two regimes need no draw, so the tests pin their MCAV bit for bit:
+
+- R1: with ``threshold_low = threshold_high = -1`` every selected cell
+  migrates at its first sample (csm is never negative), so a type's MCAV is
+  the share of its records whose own windowed output has semi <= mat, for
+  every multiplier, window and seed.
+- R2: with ``population_size = cells_per_step`` and one fixed threshold,
+  every cell samples every step from the same start and holds the same
+  sums, so the stream splits into segments that end where the summed csm
+  exceeds the threshold, and each segment takes the context of its sums.
 """
 from __future__ import annotations
 

@@ -4,6 +4,10 @@ Detectors are random points in the unit hypercube censored against the
 normal (self) set: a candidate survives only if its ball cannot intersect
 any self ball. Test points matching any surviving detector are classified
 anomalous.
+
+Every geometric question the module asks is one: does a point of this set
+lie strictly within r? One bounded kd-tree query, ``_within``, answers it
+for censoring, classification and the covered-cube grid.
 """
 from __future__ import annotations
 
@@ -30,7 +34,9 @@ DEFAULT_DETECTOR_RADIUS = 0.1
 # Candidates drawn per batch, and the most cells the covered-cube grid has,
 # so building the grid costs at most one batch of tree queries.
 _BATCH = 1024
-# Candidates drawn per detector asked for before a run gives up.
+# Candidates drawn per detector asked for before a run gives up. The budget
+# is this implementation's rule, not a parameter of the paper's algorithm,
+# so no flag sets it.
 _ATTEMPTS_PER_DETECTOR = 100
 
 
@@ -70,8 +76,9 @@ def _kdtree_class() -> type:
 
 def _kdtree(points: np.ndarray):
     """The one kd-tree builder: sliding-midpoint splits, no node compaction.
-    It answers every bounded query as the default tree does, with the
-    smallest of the same per-pair distances, and builds faster."""
+    It builds faster than the default tree and answers every bounded query
+    as it does: the split rule shapes only the tree, and a bounded query
+    returns the smallest of the same per-pair distances whatever the rule."""
     return _kdtree_class()(points, balanced_tree=False, compact_nodes=False)
 
 
@@ -131,7 +138,9 @@ def generate_detectors(censor: Censor, count: int, seed: int,
     self point closer than the censor radius.
 
     Stops at ``count`` detectors or after ``max_attempts`` candidates
-    (default ``_ATTEMPTS_PER_DETECTOR`` x count), returning fewer. Drawn in
+    (default ``_ATTEMPTS_PER_DETECTOR`` x count), returning fewer. A run
+    leaves ``max_attempts`` unset; the tests set it to drive the exhausted
+    budget. Drawn in
     batches of ``_BATCH`` and committed in draw order, the result is
     deterministic per seed. A censor that covers the cube returns no
     detector without drawing, as drawing the whole budget would.
@@ -205,7 +214,8 @@ def run_nsa(
     one ``Censor`` over the normal training rows. Returns, per dimension, one
     fold-averaged ConfusionRates per seed, in seed order. Each fold run logs
     one info line with its elapsed seconds. A fold without any
-    normal training instance is skipped with one warning; runs that return
+    normal training instance is skipped with one warning, and a run whose
+    every fold is skipped raises ``ConfigurationError``; runs that return
     fewer detectors than asked get one warning per dimension, which counts
     those whose self set covers the cube and those that exhausted their
     attempt budget.

@@ -66,7 +66,9 @@ class AttributeRange:
     """Scoring window for one scorable attribute (``SCORABLE_ATTRIBUTES``).
 
     ``direction`` '+' scores f(x) directly; '-' flips to 100 - f(x) for
-    attributes where low raw values indicate the category's meaning.
+    attributes where low raw values indicate the category's meaning. It
+    checks every rule of one range itself, so a hand-built configuration is
+    checked as a range file is.
     """
 
     name: str

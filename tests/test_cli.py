@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import dca_ids
-from dca_ids import experiments
+from dca_ids import cli, experiments
 from dca_ids.cli import (EXIT_CONFIG, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK,
                          EXIT_PARSE, EXIT_WORKER, _experiment_config,
                          build_parser, main)
@@ -611,15 +611,19 @@ def default_config(command):
                             Path("results"))
 
 
+def subcommands():
+    """Each subcommand's parser, by name."""
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 class TestFlags:
     def test_option_strings_pinned(self):
-        sub = next(action for action in build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
         found = {
             name: sorted(option for action in parser._actions
                          for option in action.option_strings
                          if option not in ("-h", "--help"))
-            for name, parser in sub.choices.items()
+            for name, parser in subcommands().items()
         }
         assert found == {name: sorted(options)
                          for name, options in OPTIONS.items()}
@@ -664,6 +668,17 @@ class TestFlags:
             ["infogain", "data.kdd", "--out", "o/infogain.tsv"])
         assert (args.data, args.out) == (Path("data.kdd"),
                                          Path("o/infogain.tsv"))
+
+
+def test_readme_names_every_exit_code_and_subcommand():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Exit codes:(.*?)\.\s", text, re.S).group(1)
+    assert {int(code) for code in re.findall(r"\b\d+\b", sentence)} == {
+        value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    assert set(re.findall(r"^dca-ids (\S+)", examples, re.M)) == set(
+        subcommands())
 
 
 class TestErrorPaths:
